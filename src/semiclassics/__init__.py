@@ -56,7 +56,6 @@ from .gutzwiller import (
 from .trajectory import (
     IntegratorConfig,
     Trajectory,
-    TrajectorySample,
     crossing_time,
     hamiltonian,
     initial_momentum,
@@ -84,7 +83,6 @@ __all__ = [
     "SemiclassicsError",
     "StepSizeUnderflow",
     "Trajectory",
-    "TrajectorySample",
     "TurningPoints",
     "corrected_quasi_bound_energy",
     "crossing_time",

@@ -5,12 +5,16 @@ gutzwiller eval, gutzwiller poles, reversibility.  Every command prints
 a JSON run manifest to stderr with all resolved parameters, so a run
 can be replayed exactly.  Numeric output uses 6 significant digits in
 human tables and 17 in CSV.
+
+Exit codes: 0 on success, 1 when a run fails, 2 for a usage error
+(including a number that is out of range or not finite).
 """
 
 import argparse
 import cmath
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -55,18 +59,12 @@ TABLE1_G = (0.12522, 0.14311, 0.16099, 0.17888)
 
 TRAJECTORY_HEADER = "t,re_x,im_x,re_p,im_p,energy_drift"
 
+ROOT_HEADERS = ["root", "re", "im"]
+
 
 # ---------------------------------------------------------------------------
-# formatting and manifest helpers
+# output: run manifest and the row renderer
 # ---------------------------------------------------------------------------
-
-def _fmt6(value) -> str:
-    return f"{value:.6g}"
-
-
-def _fmt17(value) -> str:
-    return f"{value:.17g}"
-
 
 def _json_default(obj):
     if isinstance(obj, complex):
@@ -74,106 +72,128 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to replay a command bit-identically."""
-
-    command: str
-    parameters: dict
-    version: str
-    timestamp: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "version": self.version,
-                "timestamp": self.timestamp,
-            },
-            default=_json_default,
-            sort_keys=True,
-        )
+def _emit_manifest(command: str, args, parameters: dict) -> None:
+    """Print everything needed to replay the run bit-identically to stderr."""
+    for flag in ("format", "out"):
+        if hasattr(args, flag):
+            parameters[flag] = getattr(args, flag)
+    manifest = {
+        "command": command,
+        "parameters": parameters,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    print(json.dumps(manifest, default=_json_default, sort_keys=True), file=sys.stderr)
 
 
-def _emit_manifest(command: str, parameters: dict) -> None:
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    print(manifest.to_json(), file=sys.stderr)
+def _cell(value, digits: int, missing: str) -> str:
+    if value is None:
+        return missing
+    if isinstance(value, (str, int)):
+        return str(value)
+    return f"{value:.{digits}g}"
 
 
-def _render_table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+def _render(fmt: str, headers, rows):
+    """Yield the text lines of rows of plain values: CSV with 17
+    significant digits, one line per row as it comes, or a right-aligned
+    table with 6.  A missing value (None) is an empty CSV cell and
+    ``none`` in a table.
+    """
+    if fmt == "csv":
+        yield ",".join(headers) + "\n"
+        for row in rows:
+            yield ",".join(_cell(v, 17, "") for v in row) + "\n"
+        return
+    cells = [[_cell(v, 6, "none") for v in row] for row in rows]
+    widths = [max(len(c) for c in column) for column in zip(headers, *cells)]
+    for row in [headers, *cells]:
+        yield "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n"
 
 
-def _write_output(text: str, out_path) -> None:
+def _write_output(lines, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
-def _emit_rows(fmt, headers, table_rows, csv_rows, json_obj, out_path) -> None:
-    if fmt == "table":
-        _write_output(_render_table(headers, table_rows) + "\n", out_path)
-    elif fmt == "csv":
-        lines = [",".join(headers)] + [",".join(r) for r in csv_rows]
-        _write_output("\n".join(lines) + "\n", out_path)
+def _emit(args, headers, rows, payload: dict) -> None:
+    if args.format == "json":
+        lines = [json.dumps(payload, default=_json_default) + "\n"]
     else:
-        _write_output(json.dumps(json_obj, default=_json_default) + "\n", out_path)
+        lines = _render(args.format, headers, rows)
+    _write_output(lines, args.out)
+
+
+def _root_rows(tps):
+    return [(name, x.real, x.imag) for name, x in zip(("x1", "x2", "x3"), tps)]
 
 
 # ---------------------------------------------------------------------------
 # flag parsing
 # ---------------------------------------------------------------------------
 
-class UsageError(ValueError):
-    pass
+def _number_type(accept, what: str):
+    """An argparse type: a finite float for which accept(value) holds."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_complex_pair(text: str, flag: str) -> complex:
+_positive = _number_type(lambda v: v > 0, "a positive finite number")
+_nonnegative = _number_type(lambda v: v >= 0, "a nonnegative finite number")
+_finite = _number_type(lambda v: True, "a finite number")
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def _parse_complex_pair(text: str) -> complex:
+    usage = f"expected re=<float>,im=<float>, got {text!r}"
     parts = dict()
     for item in text.split(","):
         key, _, value = item.partition("=")
         if key not in ("re", "im") or not value:
-            raise UsageError(f"{flag} expects re=<float>,im=<float>, got {text!r}")
-        parts[key] = float(value)
+            raise argparse.ArgumentTypeError(usage)
+        parts[key] = _finite(value)
     if set(parts) != {"re", "im"}:
-        raise UsageError(f"{flag} expects re=<float>,im=<float>, got {text!r}")
+        raise argparse.ArgumentTypeError(usage)
     return complex(parts["re"], parts["im"])
 
 
-def _parse_energy_policy(text: str):
-    if text in ("corrected", "leading"):
-        return text
+def _parse_energy_value(text: str) -> complex:
     if "=" in text:
-        return _parse_complex_pair(text, "--energy")
-    try:
-        return complex(float(text), 0.0)
-    except ValueError:
-        raise UsageError(
-            f"--energy expects 'corrected', 'leading', re=..,im=.. or a float, got {text!r}"
-        ) from None
+        return _parse_complex_pair(text)
+    return complex(_finite(text), 0.0)
+
+
+def _parse_energy_policy(text: str):
+    return text if text in ("corrected", "leading") else _parse_energy_value(text)
 
 
 def _parse_x0_policy(text: str):
     if text in ("x1", "x2"):
         return text
     if "=" in text:
-        return _parse_complex_pair(text, "--x0")
-    raise UsageError(f"--x0 expects 'x1', 'x2' or re=..,im=.., got {text!r}")
+        return _parse_complex_pair(text)
+    raise argparse.ArgumentTypeError(f"expected 'x1', 'x2' or re=..,im=.., got {text!r}")
 
 
 def resolve_energy(policy, g: float) -> complex:
@@ -185,29 +205,39 @@ def resolve_energy(policy, g: float) -> complex:
     return complex(policy)
 
 
-def _resolve_start(model, energy, x0_policy, branch):
-    if x0_policy in ("x1", "x2"):
+def _resolve_start(args):
+    """(model, energy, x0, p0, turning points or None, manifest entries)
+    from --g/--harmonic, --energy, --x0 and --branch.  A named start is a
+    turning point with p0 = 0; the harmonic oscillator takes E = 1/2
+    unless given and starts from sqrt(2E) for either name.
+    """
+    branch = 1 if args.branch == "+" else -1
+    harmonic = getattr(args, "harmonic", False)
+    if harmonic:
+        model = HarmonicModel()
+        energy = args.energy if isinstance(args.energy, complex) else complex(0.5, 0.0)
+    else:
+        model = CubicModel(args.g)
+        energy = resolve_energy(args.energy, args.g)
+    tps = None
+    if isinstance(args.x0, complex):
+        x0, p0 = args.x0, initial_momentum(model, energy, args.x0, branch)
+    elif harmonic:
+        x0, p0 = cmath.sqrt(2.0 * energy), 0j
+    else:
         tps = turning_points(model, energy)
-        x0 = tps.x1 if x0_policy == "x1" else tps.x2
-        return x0, 0j
-    x0 = complex(x0_policy)
-    return x0, initial_momentum(model, energy, x0, branch)
+        x0, p0 = (tps.x1 if args.x0 == "x1" else tps.x2), 0j
+    parameters = {"g": model.g, "energy": energy, "x0_policy": str(args.x0), "x0": x0,
+                  "p0": p0, "branch": branch}
+    return model, energy, x0, p0, tps, parameters
 
 
-def _config_from_args(args, default_t_max=2e5, **overrides) -> IntegratorConfig:
-    values = dict(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        t_max=args.t_max if args.t_max is not None else default_t_max,
-    )
-    values.update(overrides)
-    return IntegratorConfig(**values)
-
-
-def _require_positive_g(values) -> None:
-    for g in values:
-        if g <= 0:
-            raise UsageError(f"--g must be positive, got {g}")
+def _config(args):
+    """IntegratorConfig from the tolerance, horizon and sampling flags the
+    subcommand takes, and those values for the run manifest."""
+    names = ("rel_tol", "abs_tol", "t_max", "sample_interval")
+    values = {name: getattr(args, name) for name in names if hasattr(args, name)}
+    return IntegratorConfig(**values), values
 
 
 # ---------------------------------------------------------------------------
@@ -260,245 +290,85 @@ def load_reference_table() -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_tau(args) -> int:
-    _require_positive_g(args.g)
-    _emit_manifest("tau", {"g": list(args.g), "format": args.format, "out": args.out})
+    _emit_manifest("tau", args, {"g": args.g})
+    headers = ["g", "tau"]
     rows = [(g, wkb_lifetime(g)) for g in args.g]
-    _emit_rows(
-        args.format,
-        ["g", "tau"],
-        [[_fmt6(g), _fmt6(t)] for g, t in rows],
-        [[_fmt17(g), _fmt17(t)] for g, t in rows],
-        {"command": "tau", "rows": [{"g": g, "tau": t} for g, t in rows]},
-        args.out,
-    )
+    _emit(args, headers, rows,
+          {"command": "tau", "rows": [dict(zip(headers, r)) for r in rows]})
     return 0
 
 
 def _cmd_turning_points(args) -> int:
-    _require_positive_g([args.g])
-    model = CubicModel(args.g)
     energy = resolve_energy(args.energy, args.g)
-    _emit_manifest(
-        "turning-points",
-        {"g": args.g, "energy": energy, "format": args.format, "out": args.out},
-    )
-    tps = turning_points(model, energy)
-    names = ("x1", "x2", "x3")
-    _emit_rows(
-        args.format,
-        ["root", "re", "im"],
-        [[n, _fmt6(x.real), _fmt6(x.imag)] for n, x in zip(names, tps)],
-        [[n, _fmt17(x.real), _fmt17(x.imag)] for n, x in zip(names, tps)],
-        {
-            "command": "turning-points",
-            "g": args.g,
-            "energy": energy,
-            "roots": {n: x for n, x in zip(names, tps)},
-        },
-        args.out,
-    )
+    _emit_manifest("turning-points", args, {"g": args.g, "energy": energy})
+    tps = turning_points(CubicModel(args.g), energy)
+    _emit(args, ROOT_HEADERS, _root_rows(tps),
+          {"command": "turning-points", "g": args.g, "energy": energy,
+           "roots": dict(zip(("x1", "x2", "x3"), tps))})
     return 0
 
 
 def _cmd_trajectory(args) -> int:
-    _require_positive_g([args.g])
-    if not args.out:
-        raise UsageError("trajectory requires --out <path> for the CSV file")
-    model = CubicModel(args.g)
-    energy = resolve_energy(args.energy, args.g)
-    branch = 1 if args.branch == "+" else -1
-    x0, p0 = _resolve_start(model, energy, args.x0, branch)
-    cfg = _config_from_args(args, default_t_max=100.0, sample_interval=args.sample_interval)
-    _emit_manifest(
-        "trajectory",
-        {
-            "g": args.g,
-            "energy": energy,
-            "x0_policy": str(args.x0),
-            "x0": x0,
-            "p0": p0,
-            "branch": branch,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "t_max": cfg.t_max,
-            "sample_interval": cfg.sample_interval,
-            "out": args.out,
-        },
-    )
+    model, energy, x0, p0, tps, start = _resolve_start(args)
+    cfg, config = _config(args)
+    _emit_manifest("trajectory", args, {**start, **config})
+    if tps is None:
+        tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
-
-    lines = [TRAJECTORY_HEADER]
-    for i in range(len(traj)):
-        lines.append(
-            ",".join(
-                _fmt17(v)
-                for v in (
-                    traj.t[i],
-                    traj.x[i].real,
-                    traj.x[i].imag,
-                    traj.p[i].real,
-                    traj.p[i].imag,
-                    traj.energy_drift[i],
-                )
-            )
-        )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    tps = turning_points(model, energy)
-    names = ("x1", "x2", "x3")
-    print(
-        _render_table(
-            ["root", "re", "im"],
-            [[n, _fmt6(x.real), _fmt6(x.imag)] for n, x in zip(names, tps)],
-        )
-    )
+    rows = zip(traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
+    _write_output(_render("csv", TRAJECTORY_HEADER.split(","), rows), args.out)
+    sys.stdout.writelines(_render("table", ROOT_HEADERS, _root_rows(tps)))
     print(f"wrote {len(traj)} samples to {args.out} "
           f"(max energy drift {traj.max_energy_drift:.3e})")
     return 0
 
 
 def _cmd_crossing_time(args) -> int:
-    _require_positive_g([args.g])
-    model = CubicModel(args.g)
-    energy = resolve_energy(args.energy, args.g)
-    branch = 1 if args.branch == "+" else -1
-    x0, p0 = _resolve_start(model, energy, args.x0, branch)
-    cfg = _config_from_args(args)
-    _emit_manifest(
-        "crossing-time",
-        {
-            "g": args.g,
-            "energy": energy,
-            "x0_policy": str(args.x0),
-            "x0": x0,
-            "p0": p0,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "t_max": cfg.t_max,
-        },
-    )
-    t_c = crossing_time(model, energy, x0, p0, cfg)
-    _emit_rows(
-        args.format,
-        ["g", "t_c"],
-        [[_fmt6(args.g), _fmt6(t_c)]],
-        [[_fmt17(args.g), _fmt17(t_c)]],
-        {"command": "crossing-time", "g": args.g, "t_c": t_c},
-        args.out,
-    )
+    model, energy, x0, p0, _, start = _resolve_start(args)
+    cfg, config = _config(args)
+    _emit_manifest("crossing-time", args, {**start, **config})
+    headers = ["g", "t_c"]
+    row = (args.g, crossing_time(model, energy, x0, p0, cfg))
+    _emit(args, headers, [row], {"command": "crossing-time", **dict(zip(headers, row))})
     return 0
 
 
 def _cmd_table1(args) -> int:
-    g_values = tuple(args.g) if args.g else TABLE1_G
-    _require_positive_g(g_values)
-    cfg = _config_from_args(args)
-    _emit_manifest(
-        "table1",
-        {
-            "g": list(g_values),
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-            "t_max": cfg.t_max,
-            "energy_policy": "corrected",
-            "x0_policy": "x1",
-            "format": args.format,
-            "out": args.out,
-        },
-    )
-    rows = compute_table1(g_values, cfg)
-
+    cfg, config = _config(args)
+    _emit_manifest("table1", args, {"g": list(args.g), **config,
+                                    "energy_policy": "corrected", "x0_policy": "x1"})
     reference = load_reference_table()
     ref_map = {
         round(g, 10): (tc, tau)
         for g, tc, tau in zip(reference["g"], reference["t_c"], reference["tau"])
     }
-
     headers = ["g", "t_c", "tau", "ratio", "t_c_ref", "tau_ref"]
-    table_rows, csv_rows, json_rows = [], [], []
-    for row in rows:
-        ref = ref_map.get(round(row.g, 10))
-        tc_ref = _fmt6(ref[0]) if ref else ""
-        tau_ref = _fmt6(ref[1]) if ref else ""
-        tc_table = _fmt6(row.t_c) if row.t_c is not None else "none"
-        ratio_table = _fmt6(row.ratio) if row.ratio is not None else "none"
-        table_rows.append(
-            [_fmt6(row.g), tc_table, _fmt6(row.tau), ratio_table, tc_ref or "-", tau_ref or "-"]
-        )
-        csv_rows.append(
-            [
-                _fmt17(row.g),
-                _fmt17(row.t_c) if row.t_c is not None else "",
-                _fmt17(row.tau),
-                _fmt17(row.ratio) if row.ratio is not None else "",
-                _fmt17(ref[0]) if ref else "",
-                _fmt17(ref[1]) if ref else "",
-            ]
-        )
-        json_rows.append(
-            {
-                "g": row.g,
-                "t_c": row.t_c,
-                "tau": row.tau,
-                "ratio": row.ratio,
-                "t_c_ref": ref[0] if ref else None,
-                "tau_ref": ref[1] if ref else None,
-            }
-        )
-    _emit_rows(
-        args.format,
-        headers,
-        table_rows,
-        csv_rows,
-        {"command": "table1", "rows": json_rows},
-        args.out,
-    )
+    rows = [
+        (row.g, row.t_c, row.tau, row.ratio, *ref_map.get(round(row.g, 10), (None, None)))
+        for row in compute_table1(args.g, cfg)
+    ]
+    _emit(args, headers, rows,
+          {"command": "table1", "rows": [dict(zip(headers, r)) for r in rows]})
     return 0
 
 
 def _cmd_gutzwiller_eval(args) -> int:
     orbit = load_orbit(args.orbit)
-    energy = (
-        _parse_complex_pair(args.energy, "--energy")
-        if "=" in args.energy
-        else complex(float(args.energy), 0.0)
-    )
-    ctx = SemiclassicalContext(hbar=args.hbar)
-    _emit_manifest(
-        "gutzwiller eval",
-        {"orbit": str(args.orbit), "energy": energy, "hbar": args.hbar},
-    )
-    value = response_function(ctx, orbit, energy)
-    _emit_rows(
-        args.format,
-        ["re_g", "im_g"],
-        [[_fmt6(value.real), _fmt6(value.imag)]],
-        [[_fmt17(value.real), _fmt17(value.imag)]],
-        {
-            "command": "gutzwiller eval",
-            "orbit": orbit.name,
-            "energy": energy,
-            "response": value,
-        },
-        args.out,
-    )
+    _emit_manifest("gutzwiller eval", args,
+                   {"orbit": args.orbit, "energy": args.energy, "hbar": args.hbar})
+    value = response_function(SemiclassicalContext(hbar=args.hbar), orbit, args.energy)
+    _emit(args, ["re_g", "im_g"], [(value.real, value.imag)],
+          {"command": "gutzwiller eval", "orbit": orbit.name, "energy": args.energy,
+           "response": value})
     return 0
 
 
 def _cmd_gutzwiller_poles(args) -> int:
     orbit = load_orbit(args.orbit)
     ctx = SemiclassicalContext(hbar=args.hbar)
-    _emit_manifest(
-        "gutzwiller poles",
-        {
-            "orbit": str(args.orbit),
-            "k_max": args.k_max,
-            "s_max": args.s_max,
-            "hbar": args.hbar,
-        },
-    )
-    table_rows, csv_rows, json_rows = [], [], []
+    _emit_manifest("gutzwiller poles", args, {"orbit": args.orbit, "k_max": args.k_max,
+                                              "s_max": args.s_max, "hbar": args.hbar})
+    rows, poles = [], []
     failures = 0
     for k in range(args.k_max + 1):
         for s in range(args.s_max + 1):
@@ -510,77 +380,22 @@ def _cmd_gutzwiller_poles(args) -> int:
                 print(f"pole (k={k}, s={s}) failed: {exc}", file=sys.stderr)
                 continue
             residual = abs(pole_residual(ctx, orbit, pole, idx))
-            table_rows.append(
-                [str(k), str(s), _fmt6(pole.real), _fmt6(pole.imag), _fmt6(residual)]
-            )
-            csv_rows.append(
-                [str(k), str(s), _fmt17(pole.real), _fmt17(pole.imag), _fmt17(residual)]
-            )
-            json_rows.append(
-                {"k": k, "s": s, "energy": pole, "residual": residual}
-            )
-    _emit_rows(
-        args.format,
-        ["k", "s", "re_e", "im_e", "residual"],
-        table_rows,
-        csv_rows,
-        {"command": "gutzwiller poles", "orbit": orbit.name, "poles": json_rows},
-        args.out,
-    )
+            rows.append((k, s, pole.real, pole.imag, residual))
+            poles.append({"k": k, "s": s, "energy": pole, "residual": residual})
+    _emit(args, ["k", "s", "re_e", "im_e", "residual"], rows,
+          {"command": "gutzwiller poles", "orbit": orbit.name, "poles": poles})
     return 1 if failures else 0
 
 
 def _cmd_reversibility(args) -> int:
-    if args.harmonic:
-        model = HarmonicModel()
-        energy = (
-            complex(args.energy) if isinstance(args.energy, complex) else complex(0.5, 0.0)
-        )
-        if isinstance(args.x0, complex):
-            x0 = args.x0
-            p0 = initial_momentum(model, energy, x0, 1 if args.branch == "+" else -1)
-        else:
-            x0 = cmath.sqrt(2.0 * energy)
-            p0 = 0j
-        g = 0.0
-    else:
-        if args.g is None:
-            raise UsageError("reversibility requires --g or --harmonic")
-        _require_positive_g([args.g])
-        model = CubicModel(args.g)
-        energy = resolve_energy(args.energy, args.g)
-        branch = 1 if args.branch == "+" else -1
-        x0, p0 = _resolve_start(model, energy, args.x0, branch)
-        g = args.g
-    cfg = _config_from_args(args)
-    _emit_manifest(
-        "reversibility",
-        {
-            "harmonic": bool(args.harmonic),
-            "g": g,
-            "energy": energy,
-            "x0": x0,
-            "p0": p0,
-            "duration": args.duration,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-        },
-    )
+    model, energy, x0, p0, _, start = _resolve_start(args)
+    cfg, config = _config(args)
+    _emit_manifest("reversibility", args,
+                   {"harmonic": args.harmonic, **start, "duration": args.duration, **config})
     error = reversibility_error(model, energy, x0, p0, args.duration, cfg)
-    _emit_rows(
-        args.format,
-        ["duration", "retrace_error", "rel_tol", "abs_tol"],
-        [[_fmt6(args.duration), _fmt6(error), _fmt6(cfg.rel_tol), _fmt6(cfg.abs_tol)]],
-        [[_fmt17(args.duration), _fmt17(error), _fmt17(cfg.rel_tol), _fmt17(cfg.abs_tol)]],
-        {
-            "command": "reversibility",
-            "duration": args.duration,
-            "retrace_error": error,
-            "rel_tol": cfg.rel_tol,
-            "abs_tol": cfg.abs_tol,
-        },
-        args.out,
-    )
+    headers = ["duration", "retrace_error", "rel_tol", "abs_tol"]
+    row = (args.duration, error, cfg.rel_tol, cfg.abs_tol)
+    _emit(args, headers, [row], {"command": "reversibility", **dict(zip(headers, row))})
     return 0
 
 
@@ -588,17 +403,36 @@ def _cmd_reversibility(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _horizon(default: float) -> argparse.ArgumentParser:
+    horizon = argparse.ArgumentParser(add_help=False)
+    horizon.add_argument("--t-max", type=_nonnegative, default=default,
+                         help=f"integration horizon (default {default:g})")
+    return horizon
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rel-tol", type=float, default=1e-10,
-                        help="relative integration tolerance (default 1e-10)")
-    common.add_argument("--abs-tol", type=float, default=1e-12,
-                        help="absolute integration tolerance (default 1e-12)")
-    common.add_argument("--t-max", type=float, default=None,
-                        help="integration horizon (default 2e5; trajectory export: 100)")
-    common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to this file")
+    output.add_argument("--format", choices=("table", "csv", "json"), default="table",
                         help="output format (default table)")
+
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.add_argument("--rel-tol", type=_positive, default=1e-10,
+                            help="relative integration tolerance (default 1e-10)")
+    tolerances.add_argument("--abs-tol", type=_positive, default=1e-12,
+                            help="absolute integration tolerance (default 1e-12)")
+
+    energy = argparse.ArgumentParser(add_help=False)
+    energy.add_argument("--energy", type=_parse_energy_policy, default="corrected",
+                        help="'corrected' (default), 'leading', re=..,im=.. or a float")
+
+    start = argparse.ArgumentParser(add_help=False)
+    start.add_argument("--x0", type=_parse_x0_policy, default="x1",
+                       help="'x1' (default), 'x2' or re=..,im=..")
+    start.add_argument("--branch", choices=("+", "-"), default="+",
+                       help="momentum branch used for explicit --x0")
+
+    horizon = _horizon(2e5)
 
     parser = argparse.ArgumentParser(
         prog="semiclassics",
@@ -607,71 +441,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tau", parents=[common],
+    p = sub.add_parser("tau", parents=[output],
                        help="barrier-penetration lifetime tau(g)")
-    p.add_argument("--g", type=float, nargs="+", required=True)
+    p.add_argument("--g", type=_positive, nargs="+", required=True)
     p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("turning-points", parents=[common],
+    p = sub.add_parser("turning-points", parents=[output, energy],
                        help="the three roots of V(x) = E")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--energy", type=_parse_energy_policy, default="corrected",
-                   help="'corrected' (default), 'leading', re=..,im=.. or a float")
+    p.add_argument("--g", type=_positive, required=True)
     p.set_defaults(func=_cmd_turning_points)
 
-    p = sub.add_parser("trajectory", parents=[common],
+    p = sub.add_parser("trajectory", parents=[tolerances, _horizon(100.0), energy, start],
                        help="integrate and export a sampled trajectory as CSV")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--energy", type=_parse_energy_policy, default="corrected")
-    p.add_argument("--x0", type=_parse_x0_policy, default="x1",
-                   help="'x1' (default), 'x2' or re=..,im=..")
-    p.add_argument("--branch", choices=("+", "-"), default="+",
-                   help="momentum branch used for explicit --x0")
-    p.add_argument("--sample-interval", type=float, default=0.05)
+    p.add_argument("--g", type=_positive, required=True)
+    p.add_argument("--out", required=True, help="the CSV file to write")
+    p.add_argument("--sample-interval", type=_positive, default=0.05)
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("crossing-time", parents=[common],
+    p = sub.add_parser("crossing-time", parents=[output, tolerances, horizon, energy, start],
                        help="first time Re x(t) reaches Re x3")
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--energy", type=_parse_energy_policy, default="corrected")
-    p.add_argument("--x0", type=_parse_x0_policy, default="x1")
-    p.add_argument("--branch", choices=("+", "-"), default="+")
+    p.add_argument("--g", type=_positive, required=True)
     p.set_defaults(func=_cmd_crossing_time)
 
-    p = sub.add_parser("table1", parents=[common],
+    p = sub.add_parser("table1", parents=[output, tolerances, horizon],
                        help="crossing time vs lifetime over the benchmark grid")
-    p.add_argument("--g", type=float, nargs="+", default=None,
+    p.add_argument("--g", type=_positive, nargs="+", default=TABLE1_G,
                    help="override the benchmark coupling grid")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("gutzwiller", help="single-orbit response and poles")
     gsub = p.add_subparsers(dest="gutzwiller_command", required=True)
 
-    pe = gsub.add_parser("eval", parents=[common],
+    pe = gsub.add_parser("eval", parents=[output],
                          help="evaluate the response function at one energy")
     pe.add_argument("--orbit", required=True, help="orbit-model JSON file")
-    pe.add_argument("--energy", required=True,
+    pe.add_argument("--energy", type=_parse_energy_value, required=True,
                     help="re=..,im=.. or a float")
-    pe.add_argument("--hbar", type=float, default=1.0)
+    pe.add_argument("--hbar", type=_positive, default=1.0)
     pe.set_defaults(func=_cmd_gutzwiller_eval)
 
-    pp = gsub.add_parser("poles", parents=[common],
+    pp = gsub.add_parser("poles", parents=[output],
                          help="resonance poles over a (k, s) rectangle")
     pp.add_argument("--orbit", required=True, help="orbit-model JSON file")
-    pp.add_argument("--k-max", type=int, default=3)
-    pp.add_argument("--s-max", type=int, default=3)
-    pp.add_argument("--hbar", type=float, default=1.0)
+    pp.add_argument("--k-max", type=_count, default=3)
+    pp.add_argument("--s-max", type=_count, default=3)
+    pp.add_argument("--hbar", type=_positive, default=1.0)
     pp.set_defaults(func=_cmd_gutzwiller_poles)
 
-    p = sub.add_parser("reversibility", parents=[common],
+    p = sub.add_parser("reversibility", parents=[output, tolerances, energy, start],
                        help="forward-backward retrace error")
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--harmonic", action="store_true",
-                   help="use the reference harmonic oscillator")
-    p.add_argument("--energy", type=_parse_energy_policy, default="corrected")
-    p.add_argument("--x0", type=_parse_x0_policy, default="x1")
-    p.add_argument("--branch", choices=("+", "-"), default="+")
-    p.add_argument("--duration", type=float, required=True,
+    model = p.add_mutually_exclusive_group(required=True)
+    model.add_argument("--g", type=_positive)
+    model.add_argument("--harmonic", action="store_true",
+                       help="use the reference harmonic oscillator")
+    p.add_argument("--duration", type=_nonnegative, required=True,
                    help="forward (and backward) integration time")
     p.set_defaults(func=_cmd_reversibility)
 
@@ -679,14 +502,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SemiclassicsError, ValueError, OSError) as exc:
+    except (SemiclassicsError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,9 @@ here are pure and safe to call concurrently.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import CoincidentRoots, DegenerateCubic
 
@@ -27,6 +29,10 @@ __all__ = [
     "turning_points",
     "wkb_lifetime",
 ]
+
+# Smallest coupling whose lifetime is a finite float: below it
+# exp(2 / (15 g**2)) overflows.
+_LIFETIME_G_MIN = math.sqrt(2.0 / (15.0 * math.log(sys.float_info.max)))
 
 # Roots closer than this are treated as coincident (energy at/near the
 # barrier top) rather than returned as garbage.
@@ -73,6 +79,8 @@ class HarmonicModel:
     the trajectory engine can run closed-form-checkable orbits with it.
     """
 
+    g: ClassVar[float] = 0.0
+
     def potential(self, x):
         return 0.5 * x * x
 
@@ -90,7 +98,7 @@ def wkb_lifetime(g: float) -> float:
     Parameters
     ----------
     g : float
-        Cubic coupling, must be positive.
+        Cubic coupling, at least about 0.0137 (below that tau overflows).
 
     Returns
     -------
@@ -100,6 +108,10 @@ def wkb_lifetime(g: float) -> float:
     """
     if not (isinstance(g, (int, float)) and math.isfinite(g) and g > 0):
         raise ValueError(f"lifetime requires finite g > 0, got {g!r}")
+    if g < _LIFETIME_G_MIN:
+        raise ValueError(
+            f"lifetime overflows a float for g < {_LIFETIME_G_MIN:.6g}, got {g!r}"
+        )
     return 0.5 * g * math.sqrt(math.pi) * math.exp(2.0 / (15.0 * g * g))
 
 

@@ -18,18 +18,16 @@ sequences on one platform.
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cubic import CubicModel, turning_points
+from .cubic import turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
-    "TrajectorySample",
     "crossing_time",
     "hamiltonian",
     "initial_momentum",
@@ -51,6 +49,11 @@ DRIFT_FAILURE_LIMIT = 1e-6
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
 
+# Most samples one trajectory may hold: 16 MB per complex column.  The
+# longest crossing horizon, t ~ 1.5e4 at the default interval 0.05, needs
+# 3e5.
+MAX_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -69,16 +72,6 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (math.isfinite(self.t_max) and self.t_max >= 0):
             raise ValueError(f"t_max must be nonnegative and finite, got {self.t_max!r}")
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One phase-space sample: time, position, momentum, |H - E|."""
-
-    t: float
-    x: complex
-    p: complex
-    energy_drift: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,19 +94,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    def sample(self, i: int) -> TrajectorySample:
-        return TrajectorySample(
-            t=float(self.t[i]),
-            x=complex(self.x[i]),
-            p=complex(self.p[i]),
-            energy_drift=float(self.energy_drift[i]),
-        )
-
-    @property
-    def samples(self) -> Iterator[TrajectorySample]:
-        for i in range(self.t.size):
-            yield self.sample(i)
-
 
 def hamiltonian(model, x, p):
     """H(x, p) = p**2/2 + V(x); accepts scalars or arrays."""
@@ -132,20 +112,13 @@ def initial_momentum(model, energy, x0, branch: int = 1) -> complex:
 
 
 def _rhs_for(model):
-    if isinstance(model, CubicModel):
-        g = model.g
-
-        def rhs(t, y):
-            a, b = y[0], y[1]
-            return (y[2], y[3], -a + 3.0 * g * (a * a - b * b), -b + 6.0 * g * a * b)
-
-        return rhs
-
-    force = model.force
+    """Hamilton's equations for x'' = -x + 3 g x**2 in real components;
+    the harmonic model is the g = 0 case."""
+    g = model.g
 
     def rhs(t, y):
-        f = force(complex(y[0], y[1]))
-        return (y[2], y[3], f.real, f.imag)
+        a, b = y[0], y[1]
+        return (y[2], y[3], -a + 3.0 * g * (a * a - b * b), -b + 6.0 * g * a * b)
 
     return rhs
 
@@ -198,6 +171,11 @@ def _check_shell(model, energy, x0, p0):
 
 def _sample_times(t_max, interval):
     n = int(math.floor(t_max / interval + 1e-9))
+    if n + 1 > MAX_SAMPLES:
+        raise ValueError(
+            f"t_max = {t_max:g} at sample interval {interval:g} needs {n + 1} samples; "
+            f"the limit is {MAX_SAMPLES}"
+        )
     times = interval * np.arange(n + 1)
     times[-1] = min(times[-1], t_max)
     if t_max - times[-1] > 1e-12 * max(1.0, t_max):
@@ -241,7 +219,7 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     x0 = complex(x0)
     p0 = complex(p0)
     _check_shell(model, E, x0, p0)
-    g = model.g if isinstance(model, CubicModel) else 0.0
+    g = model.g
 
     if cfg.t_max == 0.0:
         drift0 = abs(hamiltonian(model, x0, p0) - E)

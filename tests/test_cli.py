@@ -129,6 +129,23 @@ class TestTrajectory:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # 2e13 samples: over the sample cap
+            (["--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e12"], "samples"),
+            # explicit start at the barrier-top energy: no distinct turning points
+            (["--g", "0.5", "--energy", f"re={1.0 / (54.0 * 0.25)},im=0",
+              "--x0", "re=0.1,im=0", "--t-max", "1"], "barrier top"),
+        ],
+    )
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, reason):
+        out_path = tmp_path / "traj.csv"
+        code, _, err = run(capsys, "trajectory", *argv, "--out", str(out_path))
+        assert code == 1
+        assert reason in err
+        assert not out_path.exists()
+
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "trajectory", "--g", "0.1", "--energy", "re=0.3,im=0"
@@ -322,3 +339,54 @@ class TestReversibility:
         code, _, err = run(capsys, "reversibility", "--duration", "1")
         assert code == 2
         assert "harmonic" in err
+
+
+# Every argv must be refused by the parser: exit 2, nothing on stdout.
+HOSTILE_ARGV = [
+    *(
+        [*base, "--g", bad]
+        for base in (
+            ["tau"],
+            ["turning-points"],
+            ["trajectory", "--out", "traj.csv"],
+            ["crossing-time"],
+            ["table1"],
+            ["reversibility", "--duration", "1"],
+        )
+        for bad in ("nan", "inf", "-1")
+    ),
+    ["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "abc"],
+    ["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "re=nan,im=0"],
+    ["gutzwiller", "poles", "--orbit", "orbit.json", "--k-max", "-3"],
+    ["gutzwiller", "poles", "--orbit", "orbit.json", "--hbar", "nan"],
+    ["crossing-time", "--g", "0.17888", "--rel-tol", "nan"],
+    ["crossing-time", "--g", "0.17888", "--t-max", "inf"],
+    ["reversibility", "--harmonic", "--duration", "-1"],
+    ["reversibility", "--harmonic", "--g", "0.1", "--duration", "1"],
+    # flags a subcommand does not read are not accepted
+    ["tau", "--g", "0.17888", "--rel-tol", "1e-3"],
+    ["turning-points", "--g", "0.17888", "--t-max", "5"],
+    ["gutzwiller", "poles", "--orbit", "orbit.json", "--abs-tol", "1e-9"],
+    ["reversibility", "--harmonic", "--duration", "1", "--t-max", "5"],
+    ["trajectory", "--g", "0.1", "--out", "traj.csv", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_ARGV, ids=" ".join)
+def test_hostile_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["tau", "table1", "turning-points", "crossing-time"])
+def test_lifetime_overflow_is_a_failed_run(capsys, command):
+    # below g ~ 0.0137 the lifetime exp(2 / (15 g**2)) overflows a float
+    code, out, err = run(capsys, command, "--g", "0.01")
+    assert code == 1
+    assert out == ""
+    assert "overflows" in err
+    assert "Traceback" not in err

@@ -117,6 +117,12 @@ class TestWkbLifetime:
         with pytest.raises(ValueError):
             wkb_lifetime(bad)
 
+    def test_overflow_limit_is_a_domain_error(self):
+        # exp(2 / (15 g**2)) overflows a float for g below about 0.0137
+        with pytest.raises(ValueError, match="0.0137"):
+            wkb_lifetime(0.001)
+        assert math.isfinite(wkb_lifetime(0.0138))
+
 
 class TestQuasiBoundState:
     def test_leading_real_part(self):
