@@ -4,7 +4,7 @@ Integrates the complex trajectory at g = 2/sqrt(125) from the leftmost
 turning point, watches the spiral drift across Re x3 (the classical
 barrier-crossing event), and then sees it swing back to the left side
 instead of escaping to the right.  The sampled trajectory is written as
-plot-ready CSV.
+plot-ready CSV by ``semiclassics trajectory``.
 
 Run:
     python3 demos/complex_trajectory.py [out.csv]
@@ -23,6 +23,7 @@ from semiclassics import (
     integrate,
     turning_points,
 )
+from semiclassics.cli import main as semiclassics_cli
 
 
 def main(out_path="complex_trajectory.csv"):
@@ -57,15 +58,11 @@ def main(out_path="complex_trajectory.csv"):
         x = traj.x[min(i, len(traj) - 1)]
         print(f"  t ~ {k}T: x = {x.real:+8.4f} {x.imag:+8.4f}i")
 
-    lines = ["t,re_x,im_x,re_p,im_p,energy_drift"]
-    for i in range(len(traj)):
-        lines.append(
-            f"{traj.t[i]:.17g},{traj.x[i].real:.17g},{traj.x[i].imag:.17g},"
-            f"{traj.p[i].real:.17g},{traj.p[i].imag:.17g},{traj.energy_drift[i]:.17g}"
-        )
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"\nwrote {out_path} (columns t,re_x,im_x,re_p,im_p,energy_drift)")
+    print("\nthe same trajectory as CSV (columns t,re_x,im_x,re_p,im_p,energy_drift):")
+    argv = ["trajectory", "--g", repr(g), "--t-max", repr(cfg.t_max),
+            "--sample-interval", repr(cfg.sample_interval), "--out", out_path]
+    if semiclassics_cli(argv) != 0:
+        raise SystemExit(f"semiclassics {' '.join(argv)} failed")
 
 
 if __name__ == "__main__":

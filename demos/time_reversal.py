@@ -30,7 +30,7 @@ def main():
     model = CubicModel(0.1)
     x1 = turning_points(model, 0.3 + 0j).x1
     for rel in (1e-6, 1e-8, 1e-10):
-        cfg = IntegratorConfig(rel_tol=rel, max_step=2.0)
+        cfg = IntegratorConfig(rel_tol=rel)
         err = reversibility_error(model, 0.3 + 0j, x1, 0j, 50.0, cfg)
         print(f"  rel_tol = {rel:7.0e}   retrace error = {err:.3e}")
     print("  (the error tracks the requested tolerance)")

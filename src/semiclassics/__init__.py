@@ -17,88 +17,10 @@ A command-line front end lives in :mod:`semiclassics.cli`
 
 __version__ = "0.1.0"
 
-from .cubic import (
-    CubicModel,
-    HarmonicModel,
-    QuasiBoundState,
-    TurningPoints,
-    corrected_quasi_bound_energy,
-    ground_state_energy,
-    quasi_bound_energy,
-    turning_points,
-    wkb_lifetime,
-)
-from .errors import (
-    CoincidentRoots,
-    DegenerateAction,
-    DegenerateCubic,
-    EnergyDriftExceeded,
-    NewtonDiverged,
-    NoCrossing,
-    NonConvergent,
-    OrbitSchemaError,
-    PoleProximity,
-    SemiclassicsError,
-    StepSizeUnderflow,
-)
-from .gutzwiller import (
-    OrbitModel,
-    PoleIndex,
-    SemiclassicalContext,
-    eval_orbit,
-    find_pole,
-    load_orbit,
-    orbit_from_dict,
-    pole_residual,
-    response_function,
-    sinh_expansion_error,
-)
-from .trajectory import (
-    IntegratorConfig,
-    Trajectory,
-    crossing_time,
-    hamiltonian,
-    initial_momentum,
-    integrate,
-    reversibility_error,
-)
+from . import cubic, errors, gutzwiller, trajectory
+from .cubic import *
+from .errors import *
+from .gutzwiller import *
+from .trajectory import *
 
-__all__ = [
-    "CoincidentRoots",
-    "CubicModel",
-    "DegenerateAction",
-    "DegenerateCubic",
-    "EnergyDriftExceeded",
-    "HarmonicModel",
-    "IntegratorConfig",
-    "NewtonDiverged",
-    "NoCrossing",
-    "NonConvergent",
-    "OrbitModel",
-    "OrbitSchemaError",
-    "PoleIndex",
-    "PoleProximity",
-    "QuasiBoundState",
-    "SemiclassicalContext",
-    "SemiclassicsError",
-    "StepSizeUnderflow",
-    "Trajectory",
-    "TurningPoints",
-    "corrected_quasi_bound_energy",
-    "crossing_time",
-    "eval_orbit",
-    "find_pole",
-    "ground_state_energy",
-    "hamiltonian",
-    "initial_momentum",
-    "integrate",
-    "load_orbit",
-    "orbit_from_dict",
-    "pole_residual",
-    "quasi_bound_energy",
-    "response_function",
-    "reversibility_error",
-    "sinh_expansion_error",
-    "turning_points",
-    "wkb_lifetime",
-]
+__all__ = sorted(cubic.__all__ + errors.__all__ + gutzwiller.__all__ + trajectory.__all__)

@@ -1,5 +1,19 @@
 """Exception types raised by the package."""
 
+__all__ = [
+    "CoincidentRoots",
+    "DegenerateAction",
+    "DegenerateCubic",
+    "EnergyDriftExceeded",
+    "NewtonDiverged",
+    "NoCrossing",
+    "NonConvergent",
+    "OrbitSchemaError",
+    "PoleProximity",
+    "SemiclassicsError",
+    "StepSizeUnderflow",
+]
+
 
 class SemiclassicsError(Exception):
     """Base class for all errors raised by this package."""

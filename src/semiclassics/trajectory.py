@@ -7,8 +7,12 @@ The equations of motion
 are integrated for complex x and p as four coupled real components,
 with H(x, p) = p**2/2 + V(x) held at the (generally complex) constant
 E.  The integrator is an adaptive embedded Runge-Kutta of order 8
-(DOP853) with dense-output event location; energy drift |H - E| is
-recorded per emitted sample as the quality diagnostic.
+(DOP853) with dense-output event location; its step size comes from the
+tolerances alone.  The energy drift |H - E| is the quality diagnostic:
+it is checked at every step of a crossing search or round trip and at
+every emitted sample of ``integrate``.  Crossing searches and round
+trips run in legs of bounded length, so their memory does not grow with
+the horizon.
 
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
@@ -46,6 +50,10 @@ _RTOL_FLOOR = 3e-14  # DOP853 rejects rtol below ~100 machine eps
 # Beyond this relative drift the run is declared failed.
 DRIFT_FAILURE_LIMIT = 1e-6
 
+# Crossing searches and round trips run in legs of at most this many time
+# units: solve_ivp keeps every step it takes, so this bounds their memory.
+_LEG = 1000.0
+
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
 
@@ -61,12 +69,11 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 0.1
     t_max: float = 2e5
     sample_interval: float = 0.05
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "sample_interval"):
+        for name in ("rel_tol", "abs_tol", "sample_interval"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -123,7 +130,20 @@ def _rhs_for(model):
     return rhs
 
 
-def _solve(model, y0, t_end, cfg, t_eval=None, events=None):
+def _start(model, energy, x0, p0, cfg):
+    """The checked inputs every integration starts from: the config (the
+    default for None), E, and the real state [Re x0, Im x0, Re p0, Im p0]."""
+    E = complex(energy)
+    x0 = complex(x0)
+    p0 = complex(p0)
+    _check_shell(model, E, x0, p0)
+    return cfg or IntegratorConfig(), E, np.array([x0.real, x0.imag, p0.real, p0.imag])
+
+
+def _solve(model, energy, y0, t_end, cfg, t_eval=None, events=None):
+    """One solve_ivp call over [0, t_end] from the real state y0, with
+    |H - E| checked at every state it keeps; returns the solution and
+    that drift."""
     sol = solve_ivp(
         _rhs_for(model),
         (0.0, t_end),
@@ -131,30 +151,34 @@ def _solve(model, y0, t_end, cfg, t_eval=None, events=None):
         method="DOP853",
         rtol=max(cfg.rel_tol * _TOL_SAFETY, _RTOL_FLOOR),
         atol=cfg.abs_tol * _TOL_SAFETY,
-        max_step=cfg.max_step,
         t_eval=t_eval,
         events=events,
     )
     if sol.status == -1:
         raise StepSizeUnderflow(sol.message)
-    return sol
+    y = sol.y
+    drift = np.abs(hamiltonian(model, y[0] + 1j * y[1], y[2] + 1j * y[3]) - energy)
+    limit = DRIFT_FAILURE_LIMIT * max(1.0, abs(energy))
+    if drift.max() > limit:
+        raise EnergyDriftExceeded(f"|H - E| reached {drift.max():.3e} (limit {limit:.3e})")
+    return sol, drift
 
 
-def _drift(model, energy, y):
-    x = y[0] + 1j * y[1]
-    p = y[2] + 1j * y[3]
-    return np.abs(hamiltonian(model, x, p) - energy)
-
-
-def _check_drift(model, energy, y):
-    drift = _drift(model, energy, y)
-    worst = float(drift.max())
-    if worst > DRIFT_FAILURE_LIMIT * max(1.0, abs(energy)):
-        raise EnergyDriftExceeded(
-            f"|H - E| reached {worst:.3e} (limit "
-            f"{DRIFT_FAILURE_LIMIT * max(1.0, abs(energy)):.3e})"
-        )
-    return drift, worst
+def _run(model, energy, y, t_total, cfg, event=None):
+    """Integrate over [0, t_total] in legs of at most _LEG time units, one
+    checked solve each, so only one leg's steps are held at a time.
+    Returns the time of the first event (None without one) and the last
+    state."""
+    start = 0.0
+    while True:
+        end = min(start + _LEG, t_total)
+        sol, _ = _solve(model, energy, y, end - start, cfg, events=event)
+        y = sol.y[:, -1].copy()
+        if event is not None and sol.t_events[0].size:
+            return start + float(sol.t_events[0][0]), y
+        if end >= t_total:
+            return None, y
+        start = end
 
 
 def _check_shell(model, energy, x0, p0):
@@ -214,41 +238,20 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
         If the solver cannot continue (typically a trajectory heading
         into a finite-time blow-up of the cubic flow).
     """
-    cfg = cfg or IntegratorConfig()
-    E = complex(energy)
-    x0 = complex(x0)
-    p0 = complex(p0)
-    _check_shell(model, E, x0, p0)
-    g = model.g
-
-    if cfg.t_max == 0.0:
-        drift0 = abs(hamiltonian(model, x0, p0) - E)
-        return Trajectory(
-            g=g,
-            energy=E,
-            t=np.zeros(1),
-            x=np.array([x0]),
-            p=np.array([p0]),
-            energy_drift=np.array([drift0]),
-            max_energy_drift=drift0,
-        )
-
-    sol = _solve(
-        model,
-        [x0.real, x0.imag, p0.real, p0.imag],
-        cfg.t_max,
-        cfg,
-        t_eval=_sample_times(cfg.t_max, cfg.sample_interval),
-    )
-    drift, worst = _check_drift(model, E, sol.y)
+    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
+    times = _sample_times(cfg.t_max, cfg.sample_interval)
+    # solve_ivp keeps no t_eval sample on an empty span, so a zero horizon
+    # takes the start state it keeps (twice) without t_eval.
+    sol, drift = _solve(model, E, y0, cfg.t_max, cfg, t_eval=times if cfg.t_max else None)
+    t, y, drift = sol.t[: times.size], sol.y[:, : times.size], drift[: times.size]
     return Trajectory(
-        g=g,
+        g=model.g,
         energy=E,
-        t=sol.t.copy(),
-        x=sol.y[0] + 1j * sol.y[1],
-        p=sol.y[2] + 1j * sol.y[3],
+        t=t,
+        x=y[0] + 1j * y[1],
+        p=y[2] + 1j * y[3],
         energy_drift=drift,
-        max_energy_drift=worst,
+        max_energy_drift=float(drift.max()),
     )
 
 
@@ -265,13 +268,9 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     NoCrossing
         If the trajectory stays left of Re x3 for all of cfg.t_max.
     """
-    cfg = cfg or IntegratorConfig()
-    E = complex(energy)
-    x0 = complex(x0)
-    p0 = complex(p0)
+    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
     target = turning_points(model, E).x3.real
-    _check_shell(model, E, x0, p0)
-    if x0.real >= target:
+    if y0[0] >= target:
         return 0.0
 
     def reached_x3(t, y):
@@ -280,19 +279,12 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     reached_x3.terminal = True
     reached_x3.direction = 1
 
-    sol = _solve(
-        model,
-        [x0.real, x0.imag, p0.real, p0.imag],
-        cfg.t_max,
-        cfg,
-        events=reached_x3,
-    )
-    _check_drift(model, E, sol.y)
-    if sol.t_events[0].size == 0:
+    t_c, _ = _run(model, E, y0, cfg.t_max, cfg, event=reached_x3)
+    if t_c is None:
         raise NoCrossing(
             f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
         )
-    return float(sol.t_events[0][0])
+    return t_c
 
 
 def reversibility_error(
@@ -305,24 +297,17 @@ def reversibility_error(
     |x_final - x0| + |p_final - p0|.  Exact dynamics gives zero; the
     result measures the integrator's time-reversal fidelity.
     """
-    cfg = cfg or IntegratorConfig()
-    E = complex(energy)
-    x0 = complex(x0)
-    p0 = complex(p0)
-    _check_shell(model, E, x0, p0)
+    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
     if not (math.isfinite(t_total) and t_total >= 0):
         raise ValueError(f"t_total must be nonnegative, got {t_total!r}")
     if t_total == 0.0:
         return 0.0
 
-    y = [x0.real, x0.imag, p0.real, p0.imag]
+    y = y0
     for _ in range(2):
-        sol = _solve(model, y, t_total, cfg)
-        _check_drift(model, E, sol.y)
-        y = sol.y[:, -1].copy()
-        y[2] = -y[2]
-        y[3] = -y[3]
+        _, y = _run(model, E, y, t_total, cfg)
+        y[2:] = -y[2:]
 
-    dx = abs(complex(y[0], y[1]) - x0)
-    dp = abs(complex(y[2], y[3]) - p0)
+    dx = abs(complex(y[0] - y0[0], y[1] - y0[1]))
+    dp = abs(complex(y[2] - y0[2], y[3] - y0[3]))
     return dx + dp

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from semiclassics import trajectory
 from semiclassics import (
     CubicModel,
     EnergyDriftExceeded,
@@ -160,8 +161,8 @@ class TestCrossingTime:
         with pytest.raises(NoCrossing):
             crossing_time(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=50.0))
 
-    def test_bracketing_consistency_with_samples(self):
-        g = 0.17888
+    @pytest.mark.parametrize("g", [0.17888, 0.16099, 0.14311])
+    def test_bracketing_consistency_with_samples(self, g):
         state = corrected_quasi_bound_energy(g)
         model = CubicModel(g)
         tps = turning_points(model, state.energy)
@@ -173,6 +174,9 @@ class TestCrossingTime:
         left = traj.x[i - 1].real - tps.x3.real
         right = traj.x[i].real - tps.x3.real
         assert left < 0 <= right
+        # a crossing missed inside one long step would leave an earlier
+        # sample at or right of Re x3
+        assert np.all(traj.x.real[traj.t < t_c] < tps.x3.real)
 
     def test_start_beyond_x3_crosses_immediately(self):
         g = 0.1
@@ -181,6 +185,25 @@ class TestCrossingTime:
         x0 = complex(tps.x3.real + 0.5)
         p0 = initial_momentum(model, 0.3 + 0j, x0)
         assert crossing_time(model, 0.3 + 0j, x0, p0) == 0.0
+
+    def test_memory_is_flat_in_the_horizon(self, monkeypatch):
+        # Each solve_ivp call keeps every accepted step, so the horizon must
+        # be split into legs: one call over t = 3000 keeps ~3e4 states.
+        kept = []
+        solve_ivp = trajectory.solve_ivp
+
+        def recording_solve_ivp(*args, **kwargs):
+            sol = solve_ivp(*args, **kwargs)
+            kept.append(sol.t.size)
+            return sol
+
+        monkeypatch.setattr(trajectory, "solve_ivp", recording_solve_ivp)
+        model = CubicModel(0.1)
+        x1 = turning_points(model, 0.3 + 0j).x1
+        with pytest.raises(NoCrossing):
+            crossing_time(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=3000.0))
+        reversibility_error(model, 0.3 + 0j, x1, 0j, 1500.0)
+        assert kept and max(kept) < 10**4
 
     def test_converged_under_tolerance_refinement(self):
         g = 0.17888
@@ -221,15 +244,13 @@ class TestReversibility:
         assert err <= 1e-6
 
     def test_error_grows_with_looser_tolerance(self):
-        # max_step large enough that the tolerance, not the step cap,
-        # controls the local error.
         model = CubicModel(0.1)
         x1 = turning_points(model, 0.3 + 0j).x1
         loose = reversibility_error(
-            model, 0.3 + 0j, x1, 0j, 50.0, IntegratorConfig(rel_tol=1e-6, max_step=2.0)
+            model, 0.3 + 0j, x1, 0j, 50.0, IntegratorConfig(rel_tol=1e-6)
         )
         tight = reversibility_error(
-            model, 0.3 + 0j, x1, 0j, 50.0, IntegratorConfig(rel_tol=1e-10, max_step=2.0)
+            model, 0.3 + 0j, x1, 0j, 50.0, IntegratorConfig(rel_tol=1e-10)
         )
         assert loose > tight
 
