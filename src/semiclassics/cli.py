@@ -15,8 +15,9 @@ import cmath
 import datetime
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
 
 from . import __version__
@@ -57,6 +58,9 @@ __all__ = [
 # Benchmark coupling grid; reference values ship in data/table1_reference.json.
 TABLE1_G = (0.12522, 0.14311, 0.16099, 0.17888)
 
+# Largest (k, s) rectangle `gutzwiller poles` searches: one Newton solve per pole.
+MAX_POLES = 10**5
+
 TRAJECTORY_HEADER = "t,re_x,im_x,re_p,im_p,energy_drift"
 
 ROOT_HEADERS = ["root", "re", "im"]
@@ -72,14 +76,18 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {obj!r}")
 
 
-def _emit_manifest(command: str, args, parameters: dict) -> None:
-    """Print everything needed to replay the run bit-identically to stderr."""
-    for flag in ("format", "out"):
-        if hasattr(args, flag):
-            parameters[flag] = getattr(args, flag)
+def _command(args) -> str:
+    return " ".join(filter(None, (args.command, getattr(args, "gutzwiller_command", None))))
+
+
+def _emit_manifest(args, **resolved) -> None:
+    """Print everything needed to replay the run bit-identically to stderr:
+    the parsed flags, overlaid with the values the command resolved."""
+    parameters = {name: value for name, value in vars(args).items()
+                  if name not in ("command", "gutzwiller_command", "func")}
     manifest = {
-        "command": command,
-        "parameters": parameters,
+        "command": _command(args),
+        "parameters": {**parameters, **resolved},
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -119,9 +127,12 @@ def _write_output(lines, out_path) -> None:
         sys.stdout.writelines(lines)
 
 
-def _emit(args, headers, rows, payload: dict) -> None:
+def _emit(args, headers, rows) -> None:
+    """Write rows as a table, CSV, or JSON: {"command", "rows"} with one
+    object per row keyed by the headers."""
     if args.format == "json":
-        lines = [json.dumps(payload, default=_json_default) + "\n"]
+        payload = {"command": _command(args), "rows": [dict(zip(headers, r)) for r in rows]}
+        lines = [json.dumps(payload) + "\n"]
     else:
         lines = _render(args.format, headers, rows)
     _write_output(lines, args.out)
@@ -165,35 +176,21 @@ def _count(text: str) -> int:
     return value
 
 
-def _parse_complex_pair(text: str) -> complex:
-    usage = f"expected re=<float>,im=<float>, got {text!r}"
-    parts = dict()
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        if key not in ("re", "im") or not value:
-            raise argparse.ArgumentTypeError(usage)
-        parts[key] = _finite(value)
-    if set(parts) != {"re", "im"}:
-        raise argparse.ArgumentTypeError(usage)
-    return complex(parts["re"], parts["im"])
+def _complex(text: str) -> complex:
+    """A finite complex number: re=<float>,im=<float> with each part
+    exactly once, or a bare float (imaginary part 0)."""
+    if "=" not in text:
+        return complex(_finite(text), 0.0)
+    pairs = [item.partition("=") for item in text.split(",")]
+    parts = {key: value for key, _, value in pairs}
+    if len(pairs) != 2 or set(parts) != {"re", "im"}:
+        raise argparse.ArgumentTypeError(f"expected re=<float>,im=<float>, got {text!r}")
+    return complex(_finite(parts["re"]), _finite(parts["im"]))
 
 
-def _parse_energy_value(text: str) -> complex:
-    if "=" in text:
-        return _parse_complex_pair(text)
-    return complex(_finite(text), 0.0)
-
-
-def _parse_energy_policy(text: str):
-    return text if text in ("corrected", "leading") else _parse_energy_value(text)
-
-
-def _parse_x0_policy(text: str):
-    if text in ("x1", "x2"):
-        return text
-    if "=" in text:
-        return _parse_complex_pair(text)
-    raise argparse.ArgumentTypeError(f"expected 'x1', 'x2' or re=..,im=.., got {text!r}")
+def _complex_or(*names):
+    """An argparse type: one of the named policies, or else _complex."""
+    return lambda text: text if text in names else _complex(text)
 
 
 def resolve_energy(policy, g: float) -> complex:
@@ -232,12 +229,11 @@ def _resolve_start(args):
     return model, energy, x0, p0, tps, parameters
 
 
-def _config(args):
+def _config(args) -> IntegratorConfig:
     """IntegratorConfig from the tolerance, horizon and sampling flags the
-    subcommand takes, and those values for the run manifest."""
+    subcommand takes."""
     names = ("rel_tol", "abs_tol", "t_max", "sample_interval")
-    values = {name: getattr(args, name) for name in names if hasattr(args, name)}
-    return IntegratorConfig(**values), values
+    return IntegratorConfig(**{n: getattr(args, n) for n in names if hasattr(args, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +248,30 @@ class Table1Row:
     t_c: float | None  # None marks NoCrossing
     tau: float
     ratio: float | None
+    t_c_ref: float | None  # None: no shipped reference for this g
+    tau_ref: float | None
+
+
+def load_reference_table() -> dict:
+    """Reference values shipped with the package (g, t_c, tau columns)."""
+    text = resources.files("semiclassics").joinpath("data/table1_reference.json").read_text(
+        encoding="utf-8"
+    )
+    return json.loads(text)
 
 
 def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
-    """Crossing time and lifetime for each coupling, default policies.
+    """Crossing time and lifetime for each coupling, default policies,
+    with the shipped reference values for the benchmark couplings.
 
     The default energy construction is the corrected quasi-bound energy
     E = E0(g) - i/(2 tau) with E0 the second-order ground-state value,
     started from the leftmost turning point x1 with p0 = 0.
     """
     cfg = cfg or IntegratorConfig()
+    reference = load_reference_table()
+    refs = {round(g, 10): (tc, tau)
+            for g, tc, tau in zip(reference["g"], reference["t_c"], reference["tau"])}
     rows = []
     for g in g_values:
         model = CubicModel(g)
@@ -273,16 +283,9 @@ def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
         except NoCrossing:
             t_c = None
             ratio = None
-        rows.append(Table1Row(g=g, t_c=t_c, tau=state.tau, ratio=ratio))
+        t_c_ref, tau_ref = refs.get(round(g, 10), (None, None))
+        rows.append(Table1Row(g, t_c, state.tau, ratio, t_c_ref, tau_ref))
     return rows
-
-
-def load_reference_table() -> dict:
-    """Reference values shipped with the package (g, t_c, tau columns)."""
-    text = resources.files("semiclassics").joinpath("data/table1_reference.json").read_text(
-        encoding="utf-8"
-    )
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +293,22 @@ def load_reference_table() -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_tau(args) -> int:
-    _emit_manifest("tau", args, {"g": args.g})
-    headers = ["g", "tau"]
-    rows = [(g, wkb_lifetime(g)) for g in args.g]
-    _emit(args, headers, rows,
-          {"command": "tau", "rows": [dict(zip(headers, r)) for r in rows]})
+    _emit_manifest(args)
+    _emit(args, ["g", "tau"], [(g, wkb_lifetime(g)) for g in args.g])
     return 0
 
 
 def _cmd_turning_points(args) -> int:
     energy = resolve_energy(args.energy, args.g)
-    _emit_manifest("turning-points", args, {"g": args.g, "energy": energy})
-    tps = turning_points(CubicModel(args.g), energy)
-    _emit(args, ROOT_HEADERS, _root_rows(tps),
-          {"command": "turning-points", "g": args.g, "energy": energy,
-           "roots": dict(zip(("x1", "x2", "x3"), tps))})
+    _emit_manifest(args, energy=energy)
+    _emit(args, ROOT_HEADERS, _root_rows(turning_points(CubicModel(args.g), energy)))
     return 0
 
 
 def _cmd_trajectory(args) -> int:
     model, energy, x0, p0, tps, start = _resolve_start(args)
-    cfg, config = _config(args)
-    _emit_manifest("trajectory", args, {**start, **config})
+    cfg = _config(args)
+    _emit_manifest(args, **start)
     if tps is None:
         tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
@@ -325,50 +322,35 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_crossing_time(args) -> int:
     model, energy, x0, p0, _, start = _resolve_start(args)
-    cfg, config = _config(args)
-    _emit_manifest("crossing-time", args, {**start, **config})
-    headers = ["g", "t_c"]
-    row = (args.g, crossing_time(model, energy, x0, p0, cfg))
-    _emit(args, headers, [row], {"command": "crossing-time", **dict(zip(headers, row))})
+    cfg = _config(args)
+    _emit_manifest(args, **start)
+    _emit(args, ["g", "t_c"], [(args.g, crossing_time(model, energy, x0, p0, cfg))])
     return 0
 
 
 def _cmd_table1(args) -> int:
-    cfg, config = _config(args)
-    _emit_manifest("table1", args, {"g": list(args.g), **config,
-                                    "energy_policy": "corrected", "x0_policy": "x1"})
-    reference = load_reference_table()
-    ref_map = {
-        round(g, 10): (tc, tau)
-        for g, tc, tau in zip(reference["g"], reference["t_c"], reference["tau"])
-    }
-    headers = ["g", "t_c", "tau", "ratio", "t_c_ref", "tau_ref"]
-    rows = [
-        (row.g, row.t_c, row.tau, row.ratio, *ref_map.get(round(row.g, 10), (None, None)))
-        for row in compute_table1(args.g, cfg)
-    ]
-    _emit(args, headers, rows,
-          {"command": "table1", "rows": [dict(zip(headers, r)) for r in rows]})
+    _emit_manifest(args, energy_policy="corrected", x0_policy="x1")
+    rows = compute_table1(args.g, _config(args))
+    _emit(args, [f.name for f in fields(Table1Row)], map(astuple, rows))
     return 0
 
 
 def _cmd_gutzwiller_eval(args) -> int:
     orbit = load_orbit(args.orbit)
-    _emit_manifest("gutzwiller eval", args,
-                   {"orbit": args.orbit, "energy": args.energy, "hbar": args.hbar})
+    _emit_manifest(args)
     value = response_function(SemiclassicalContext(hbar=args.hbar), orbit, args.energy)
-    _emit(args, ["re_g", "im_g"], [(value.real, value.imag)],
-          {"command": "gutzwiller eval", "orbit": orbit.name, "energy": args.energy,
-           "response": value})
+    _emit(args, ["re_g", "im_g"], [(value.real, value.imag)])
     return 0
 
 
 def _cmd_gutzwiller_poles(args) -> int:
+    if (args.k_max + 1) * (args.s_max + 1) > MAX_POLES:
+        print(f"error: more than {MAX_POLES} poles in the (k, s) rectangle", file=sys.stderr)
+        return 2
     orbit = load_orbit(args.orbit)
     ctx = SemiclassicalContext(hbar=args.hbar)
-    _emit_manifest("gutzwiller poles", args, {"orbit": args.orbit, "k_max": args.k_max,
-                                              "s_max": args.s_max, "hbar": args.hbar})
-    rows, poles = [], []
+    _emit_manifest(args)
+    rows = []
     failures = 0
     for k in range(args.k_max + 1):
         for s in range(args.s_max + 1):
@@ -381,27 +363,32 @@ def _cmd_gutzwiller_poles(args) -> int:
                 continue
             residual = abs(pole_residual(ctx, orbit, pole, idx))
             rows.append((k, s, pole.real, pole.imag, residual))
-            poles.append({"k": k, "s": s, "energy": pole, "residual": residual})
-    _emit(args, ["k", "s", "re_e", "im_e", "residual"], rows,
-          {"command": "gutzwiller poles", "orbit": orbit.name, "poles": poles})
+    _emit(args, ["k", "s", "re_e", "im_e", "residual"], rows)
     return 1 if failures else 0
 
 
 def _cmd_reversibility(args) -> int:
     model, energy, x0, p0, _, start = _resolve_start(args)
-    cfg, config = _config(args)
-    _emit_manifest("reversibility", args,
-                   {"harmonic": args.harmonic, **start, "duration": args.duration, **config})
+    cfg = _config(args)
+    _emit_manifest(args, **start)
     error = reversibility_error(model, energy, x0, p0, args.duration, cfg)
     headers = ["duration", "retrace_error", "rel_tol", "abs_tol"]
-    row = (args.duration, error, cfg.rel_tol, cfg.abs_tol)
-    _emit(args, headers, [row], {"command": "reversibility", **dict(zip(headers, row))})
+    _emit(args, headers, [(args.duration, error, cfg.rel_tol, cfg.abs_tol)])
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number, exponent form included, as a value
+    (argparse's own pattern takes -5e-1 for an option)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 
 def _horizon(default: float) -> argparse.ArgumentParser:
     horizon = argparse.ArgumentParser(add_help=False)
@@ -423,18 +410,19 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="absolute integration tolerance (default 1e-12)")
 
     energy = argparse.ArgumentParser(add_help=False)
-    energy.add_argument("--energy", type=_parse_energy_policy, default="corrected",
+    energy.add_argument("--energy", type=_complex_or("corrected", "leading"),
+                        default="corrected",
                         help="'corrected' (default), 'leading', re=..,im=.. or a float")
 
     start = argparse.ArgumentParser(add_help=False)
-    start.add_argument("--x0", type=_parse_x0_policy, default="x1",
-                       help="'x1' (default), 'x2' or re=..,im=..")
+    start.add_argument("--x0", type=_complex_or("x1", "x2"), default="x1",
+                       help="'x1' (default), 'x2', re=..,im=.. or a float")
     start.add_argument("--branch", choices=("+", "-"), default="+",
                        help="momentum branch used for explicit --x0")
 
     horizon = _horizon(2e5)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semiclassics",
         description="Complex classical trajectories in the cubic well and "
                     "single-orbit semiclassical resonances.",
@@ -475,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = gsub.add_parser("eval", parents=[output],
                          help="evaluate the response function at one energy")
     pe.add_argument("--orbit", required=True, help="orbit-model JSON file")
-    pe.add_argument("--energy", type=_parse_energy_value, required=True,
+    pe.add_argument("--energy", type=_complex, required=True,
                     help="re=..,im=.. or a float")
     pe.add_argument("--hbar", type=_positive, default=1.0)
     pe.set_defaults(func=_cmd_gutzwiller_eval)

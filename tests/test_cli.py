@@ -13,7 +13,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
-from semiclassics.cli import main
+from semiclassics.cli import MAX_POLES, main
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -316,8 +316,8 @@ class TestReversibility:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["retrace_error"] <= 1e-10
-        assert payload["rel_tol"] == 1e-10
+        assert payload["rows"][0]["retrace_error"] <= 1e-10
+        assert payload["rows"][0]["rel_tol"] == 1e-10
 
     def test_zero_duration(self, capsys):
         code, out, _ = run(
@@ -325,7 +325,7 @@ class TestReversibility:
             "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["retrace_error"] == 0.0
+        assert json.loads(out)["rows"][0]["retrace_error"] == 0.0
 
     def test_cubic_bound_energy(self, capsys):
         code, out, _ = run(
@@ -333,7 +333,7 @@ class TestReversibility:
             "--duration", "50", "--format", "json",
         )
         assert code == 0
-        assert json.loads(out)["retrace_error"] <= 1e-6
+        assert json.loads(out)["rows"][0]["retrace_error"] <= 1e-6
 
     def test_requires_g_or_harmonic(self, capsys):
         code, _, err = run(capsys, "reversibility", "--duration", "1")
@@ -369,6 +369,9 @@ HOSTILE_ARGV = [
     ["gutzwiller", "poles", "--orbit", "orbit.json", "--abs-tol", "1e-9"],
     ["reversibility", "--harmonic", "--duration", "1", "--t-max", "5"],
     ["trajectory", "--g", "0.1", "--out", "traj.csv", "--format", "csv"],
+    # a complex number names each part exactly once
+    ["turning-points", "--g", "0.1", "--energy", "re=1,im=2,re=0.3"],
+    ["crossing-time", "--g", "0.1", "--x0", "re=0.1,im=0,im=1", "--t-max", "1"],
 ]
 
 
@@ -390,3 +393,77 @@ def test_lifetime_overflow_is_a_failed_run(capsys, command):
     assert out == ""
     assert "overflows" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["turning-points", "--g", "0.1", "--energy", "-5e-1"],
+         ["turning-points", "--g", "0.1", "--energy", "-0.5"]),
+        (["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "-5e-1"],
+         ["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "re=-0.5,im=0"]),
+    ],
+    ids=["turning-points", "gutzwiller eval"],
+)
+def test_exponent_form_negative_is_a_value(capsys, tmp_path, monkeypatch, argv, same_as):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps(LINEAR_ORBIT), encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == run(capsys, *same_as, "--format", "csv")[1]
+
+
+def test_pole_grid_is_bounded(capsys, tmp_path, monkeypatch):
+    # refused before any search: a pole search here fails the test at once
+    def no_search(*args):
+        raise AssertionError("pole search started")
+
+    monkeypatch.setattr("semiclassics.cli.find_pole", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps(LINEAR_ORBIT), encoding="utf-8")
+    code, out, err = run(
+        capsys, "gutzwiller", "poles", "--orbit", "orbit.json",
+        "--k-max", "100000", "--s-max", "100000", "--out", "poles.csv",
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert not (tmp_path / "poles.csv").exists()
+    with pytest.raises(AssertionError, match="pole search started"):
+        main(["gutzwiller", "poles", "--orbit", "orbit.json",
+              "--k-max", "0", "--s-max", str(MAX_POLES - 1)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--g", "0.17888", "0.16099"],
+        ["turning-points", "--g", "0.1"],
+        ["crossing-time", "--g", "0.17888"],
+        ["table1", "--g", "0.17888", "0.18"],
+        ["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "1.0"],
+        ["gutzwiller", "poles", "--orbit", "orbit.json", "--k-max", "1", "--s-max", "1"],
+        ["reversibility", "--harmonic", "--duration", "1"],
+    ],
+    ids=" ".join,
+)
+def test_json_rows_are_the_csv_rows(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps(LINEAR_ORBIT), encoding="utf-8")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, cells = read_csv(out)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["command"] == json.loads(err.split("\n")[0])["command"]
+    assert len(payload["rows"]) == len(cells) > 0
+    for row, csv_row in zip(payload["rows"], cells):
+        assert list(row) == header
+        for value, cell in zip(row.values(), csv_row):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, (str, int)):
+                assert cell == str(value)
+            else:
+                assert float(cell) == value

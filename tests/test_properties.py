@@ -42,19 +42,19 @@ def _as_count(text):
 
 
 def _as_energy(text):
-    """A finite float, or re=..,im=.. with finite parts (a repeated part
-    counts with its last value)."""
+    """A finite float, or re=..,im=.. with finite parts, each given once."""
     if "=" not in text:
         value = _as_float(text)
         return complex(value, 0.0) if value is not None and math.isfinite(value) else None
     parts = {}
-    for item in text.split(","):
+    items = text.split(",")
+    for item in items:
         key, _, value = item.partition("=")
         number = _as_float(value)
         if key not in ("re", "im") or number is None or not math.isfinite(number):
             return None
         parts[key] = number
-    return complex(parts["re"], parts["im"]) if len(parts) == 2 else None
+    return complex(parts["re"], parts["im"]) if len(parts) == len(items) == 2 else None
 
 
 def _parses_or_is_usage_error(argv, parsed, expected):
