@@ -2,17 +2,31 @@
 
 The equations of motion
 
-    dx/dt = p,        dp/dt = -V'(x)
+    dx/dt = p,        dp/dt = -V'(x) = -x + 3 g x**2
 
-are integrated for complex x and p as four coupled real components,
-with H(x, p) = p**2/2 + V(x) held at the (generally complex) constant
-E.  The integrator is an adaptive embedded Runge-Kutta of order 8
-(DOP853) with dense-output event location; its step size comes from the
-tolerances alone.  The energy drift |H - E| is the quality diagnostic:
-it is checked at every step of a crossing search or round trip and at
-every emitted sample of ``integrate``.  Crossing searches and round
-trips run in legs of bounded length, so their memory does not grow with
-the horizon.
+are integrated for complex x and p, with H(x, p) = p**2/2 + V(x) held at
+the (generally complex) constant E.  The field is polynomial, so the
+Taylor coefficients of x about the current point follow from x_0 = x,
+x_1 = p and the recurrence
+
+    x_{k+2} = (3 g (x**2)_k - x_k) / ((k + 1) (k + 2)),
+
+where (x**2)_k is the Cauchy product; the momentum coefficients are
+p_k = (k + 1) x_{k+1}.  One Taylor stepper (Jorba & Zou, Experimental
+Math. 14 (2005) 99) advances the state.  The requested relative
+tolerance sets the per-step error target eps = _EPS_PER_TOL * rel_tol
+(no smaller than the rounding unit), the order is ceil(1 - ln(eps)/2),
+and the step is rho/e**2, with the radius rho estimated from the last
+two coefficients relative to the state norm; the absolute tolerance,
+scaled by the same factor, floors the local error target.
+
+Each step's polynomial is its own dense output: the samples of
+``integrate`` are evaluated on it, and a crossing search tests Re x over
+the whole step polynomial, not only at the step ends, so an excursion
+past the target inside one step is not missed.  The energy drift
+|H - E| is the quality diagnostic: it is checked at every step end and
+at every emitted sample.  The stepper holds only the current state, so
+memory does not grow with the horizon.
 
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
@@ -21,10 +35,10 @@ sequences on one platform.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cubic import turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
@@ -39,23 +53,24 @@ __all__ = [
     "reversibility_error",
 ]
 
-# The solver runs a safety margin tighter than the requested tolerances:
-# at the default request (1e-10) the raw setting lets |H - E| creep to
-# ~3e-7 over horizons t ~ 1.5e4, while the advertised envelope is
-# 1e-8 * max(1, |E|).  A uniform factor keeps the error response to the
-# requested tolerance monotone.
-_TOL_SAFETY = 5e-3
-_RTOL_FLOOR = 3e-14  # DOP853 rejects rtol below ~100 machine eps
+# Per-step error target as a fraction of the requested tolerances.  At
+# the default rel_tol = 1e-10 this gives eps = 1e-12 (order 15), which
+# holds |H - E| near 1.5e-9 over t ~ 1.5e4 against the advertised
+# envelope 1e-8 * max(1, |E|); eps = rel_tol itself (order 13) lets it
+# reach 9e-8.  A uniform factor keeps the error response to the
+# requested tolerance monotone.  A target below the double-precision
+# rounding unit buys no accuracy, so eps stops there (order 20).
+_EPS_PER_TOL = 1e-2
 
 # Beyond this relative drift the run is declared failed.
 DRIFT_FAILURE_LIMIT = 1e-6
 
-# Crossing searches and round trips run in legs of at most this many time
-# units: solve_ivp keeps every step it takes, so this bounds their memory.
-_LEG = 1000.0
-
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
+
+# A computed root of a step polynomial counts as real when its imaginary
+# part, in units of the step length, is below this.
+_REAL_ROOT_TOL = 1e-7
 
 # Most samples one trajectory may hold: 16 MB per complex column.  The
 # longest crossing horizon, t ~ 1.5e4 at the default interval 0.05, needs
@@ -118,67 +133,107 @@ def initial_momentum(model, energy, x0, branch: int = 1) -> complex:
     return branch * cmath.sqrt(2.0 * (complex(energy) - model.potential(complex(x0))))
 
 
-def _rhs_for(model):
-    """Hamilton's equations for x'' = -x + 3 g x**2 in real components;
-    the harmonic model is the g = 0 case."""
-    g = model.g
-
-    def rhs(t, y):
-        a, b = y[0], y[1]
-        return (y[2], y[3], -a + 3.0 * g * (a * a - b * b), -b + 6.0 * g * a * b)
-
-    return rhs
-
-
 def _start(model, energy, x0, p0, cfg):
     """The checked inputs every integration starts from: the config (the
-    default for None), E, and the real state [Re x0, Im x0, Re p0, Im p0]."""
+    default for None), E, x0 and p0 as complex numbers."""
     E = complex(energy)
     x0 = complex(x0)
     p0 = complex(p0)
     _check_shell(model, E, x0, p0)
-    return cfg or IntegratorConfig(), E, np.array([x0.real, x0.imag, p0.real, p0.imag])
+    return cfg or IntegratorConfig(), E, x0, p0
 
 
-def _solve(model, energy, y0, t_end, cfg, t_eval=None, events=None):
-    """One solve_ivp call over [0, t_end] from the real state y0, with
-    |H - E| checked at every state it keeps; returns the solution and
-    that drift."""
-    sol = solve_ivp(
-        _rhs_for(model),
-        (0.0, t_end),
-        y0,
-        method="DOP853",
-        rtol=max(cfg.rel_tol * _TOL_SAFETY, _RTOL_FLOOR),
-        atol=cfg.abs_tol * _TOL_SAFETY,
-        t_eval=t_eval,
-        events=events,
-    )
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    y = sol.y
-    drift = np.abs(hamiltonian(model, y[0] + 1j * y[1], y[2] + 1j * y[3]) - energy)
+def _check_drift(energy, drift):
+    """Raise EnergyDriftExceeded unless ``drift`` (a float, NaN included)
+    is within the failure limit."""
     limit = DRIFT_FAILURE_LIMIT * max(1.0, abs(energy))
-    if drift.max() > limit:
-        raise EnergyDriftExceeded(f"|H - E| reached {drift.max():.3e} (limit {limit:.3e})")
-    return sol, drift
+    if not drift <= limit:
+        raise EnergyDriftExceeded(f"|H - E| reached {drift:.3e} (limit {limit:.3e})")
 
 
-def _run(model, energy, y, t_total, cfg, event=None):
-    """Integrate over [0, t_total] in legs of at most _LEG time units, one
-    checked solve each, so only one leg's steps are held at a time.
-    Returns the time of the first event (None without one) and the last
-    state."""
-    start = 0.0
-    while True:
-        end = min(start + _LEG, t_total)
-        sol, _ = _solve(model, energy, y, end - start, cfg, events=event)
-        y = sol.y[:, -1].copy()
-        if event is not None and sol.t_events[0].size:
-            return start + float(sol.t_events[0][0]), y
-        if end >= t_total:
-            return None, y
-        start = end
+def _at(xs, tau):
+    """x and p = dx/dt of the step polynomial sum xs[k] tau**k."""
+    x = xs[-1]
+    p = 0j
+    for c in xs[-2::-1]:
+        p = p * tau + x
+        x = x * tau + c
+    return x, p
+
+
+def _steps(model, energy, x, p, t_end, cfg):
+    """Taylor steps of x'' = -x + 3 g x**2 from (x, p) at t = 0 to t_end.
+
+    Yields (t, h, xs) for each step: its start, its length and the
+    coefficients of x(t + tau) = sum xs[k] tau**k for 0 <= tau <= h.
+    |H - E| at the step end is checked before the step is yielded.
+    """
+    eps = max(_EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
+    order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
+    # the local error target is eps * max(|x|, |p|) or, near the origin,
+    # _EPS_PER_TOL * abs_tol
+    scale_floor = _EPS_PER_TOL * cfg.abs_tol / eps
+    g3 = 3.0 * model.g
+    inv = [1.0 / ((k + 1) * (k + 2)) for k in range(order - 1)]
+    e2 = math.exp(2.0)
+    t = 0.0
+    while t < t_end:
+        xs = [x, p]
+        for k in range(order - 1):
+            # (x**2)_k, each product x_j x_{k-j} taken once
+            s = 0j
+            j, i = 0, k
+            while j < i:
+                s += xs[j] * xs[i]
+                j += 1
+                i -= 1
+            s += s
+            if j == i:
+                s += xs[j] * xs[j]
+            xs.append((g3 * s - xs[k]) * inv[k])
+
+        scale = max(abs(x), abs(p), scale_floor)
+        inv_rho = max(
+            (abs(xs[-2]) / scale) ** (1.0 / (order - 1)), (abs(xs[-1]) / scale) ** (1.0 / order)
+        )
+        remaining = t_end - t
+        h = remaining
+        if e2 * inv_rho * h > 1.0:
+            h = 1.0 / (e2 * inv_rho)
+        if not t + h > t:
+            raise StepSizeUnderflow(f"step size {h:.3e} at t = {t:.17g} no longer advances time")
+
+        x, p = _at(xs, h)
+        _check_drift(energy, abs(hamiltonian(model, x, p) - energy))
+        yield t, h, xs
+        t = t_end if h == remaining else t + h
+
+
+def _first_reach(xs, h, target):
+    """First tau in [0, h] at which Re x(tau) = target on the step
+    polynomial ``xs``, or None.
+
+    The step is skipped only when Re x_0 + sum_{k>=1} |Re x_k| h**k, a
+    bound on Re x over the whole step, stays below the target; otherwise
+    the first real root of the polynomial minus the target is taken.
+    """
+    a = [c.real for c in xs]
+    a[0] -= target
+    if a[0] >= 0.0:
+        return 0.0
+    bound = 0.0
+    for c in a[:0:-1]:
+        bound = (bound + abs(c)) * h
+    if a[0] + bound < 0.0:
+        return None
+    # roots in s = tau / h, so the window is [0, 1]
+    scaled = [c * h**k for k, c in enumerate(a)]
+    roots = [
+        float(r.real)
+        for r in np.roots(scaled[::-1])
+        if abs(r.imag) <= _REAL_ROOT_TOL and 0.0 <= r.real <= 1.0
+    ]
+    return h * min(roots) if roots else None
 
 
 def _check_shell(model, energy, x0, p0):
@@ -232,59 +287,61 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     Raises
     ------
     EnergyDriftExceeded
-        If |H - E| grows beyond 1e-6 * max(1, |E|) anywhere on the
-        sample grid.
+        If |H - E| grows beyond 1e-6 * max(1, |E|) at a step end or a
+        sample.
     StepSizeUnderflow
-        If the solver cannot continue (typically a trajectory heading
-        into a finite-time blow-up of the cubic flow).
+        If the step no longer advances time (typically a trajectory
+        heading into a finite-time blow-up of the cubic flow).
     """
-    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
+    cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     times = _sample_times(cfg.t_max, cfg.sample_interval)
-    # solve_ivp keeps no t_eval sample on an empty span, so a zero horizon
-    # takes the start state it keeps (twice) without t_eval.
-    sol, drift = _solve(model, E, y0, cfg.t_max, cfg, t_eval=times if cfg.t_max else None)
-    t, y, drift = sol.t[: times.size], sol.y[:, : times.size], drift[: times.size]
+    grid = times.tolist()
+    x = np.empty(times.size, dtype=complex)
+    p = np.empty_like(x)
+    x[0], p[0] = x0, p0
+    i = 1
+    for t, h, xs in _steps(model, E, x0, p0, cfg.t_max, cfg):
+        while i < len(grid) and grid[i] - t <= h:
+            x[i], p[i] = _at(xs, grid[i] - t)
+            i += 1
+    drift = np.abs(hamiltonian(model, x, p) - E)
+    max_drift = float(drift.max())
+    _check_drift(E, max_drift)
     return Trajectory(
         g=model.g,
         energy=E,
-        t=t,
-        x=y[0] + 1j * y[1],
-        p=y[2] + 1j * y[3],
+        t=times,
+        x=x,
+        p=p,
         energy_drift=drift,
-        max_energy_drift=float(drift.max()),
+        max_energy_drift=max_drift,
     )
 
 
 def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> float:
     """First time at which Re x(t) reaches the rightmost turning point.
 
-    The crossing condition Re x(t_c) = Re x3 is located by sign-change
-    detection on the solver's dense output followed by root polishing,
-    so t_c does not inherit step-boundary granularity.  Integration
-    stops at the first crossing.
+    Each step's polynomial is searched as a whole for the crossing
+    condition Re x(t_c) = Re x3, so neither the step ends nor an
+    excursion inside one step decide t_c.  Integration stops at the
+    first crossing.
 
     Raises
     ------
     NoCrossing
         If the trajectory stays left of Re x3 for all of cfg.t_max.
     """
-    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
+    cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     target = turning_points(model, E).x3.real
-    if y0[0] >= target:
+    if x0.real >= target:
         return 0.0
-
-    def reached_x3(t, y):
-        return y[0] - target
-
-    reached_x3.terminal = True
-    reached_x3.direction = 1
-
-    t_c, _ = _run(model, E, y0, cfg.t_max, cfg, event=reached_x3)
-    if t_c is None:
-        raise NoCrossing(
-            f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
-        )
-    return t_c
+    for t, h, xs in _steps(model, E, x0, p0, cfg.t_max, cfg):
+        tau = _first_reach(xs, h, target)
+        if tau is not None:
+            return t + tau
+    raise NoCrossing(
+        f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
+    )
 
 
 def reversibility_error(
@@ -297,17 +354,16 @@ def reversibility_error(
     |x_final - x0| + |p_final - p0|.  Exact dynamics gives zero; the
     result measures the integrator's time-reversal fidelity.
     """
-    cfg, E, y0 = _start(model, energy, x0, p0, cfg)
+    cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     if not (math.isfinite(t_total) and t_total >= 0):
         raise ValueError(f"t_total must be nonnegative, got {t_total!r}")
     if t_total == 0.0:
         return 0.0
 
-    y = y0
+    x, p = x0, p0
     for _ in range(2):
-        _, y = _run(model, E, y, t_total, cfg)
-        y[2:] = -y[2:]
-
-    dx = abs(complex(y[0] - y0[0], y[1] - y0[1]))
-    dp = abs(complex(y[2] - y0[2], y[3] - y0[3]))
-    return dx + dp
+        for _t, h, xs in _steps(model, E, x, p, t_total, cfg):
+            pass
+        x, p = _at(xs, h)
+        p = -p
+    return abs(x - x0) + abs(p - p0)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import semiclassics
 
 PUBLIC_NAMES = {
@@ -51,3 +55,16 @@ def test_every_export_resolves_to_its_module_object():
         value = getattr(semiclassics, name)
         module = value.__module__.rsplit(".", 1)[-1]
         assert getattr(getattr(semiclassics, module), name) is value
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.integrate costs ~0.7 s and ~50 MB to import; the package runs
+    # on numpy alone and scipy is only a test dependency.
+    root = os.path.dirname(os.path.dirname(semiclassics.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = "import sys, semiclassics.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "[]"

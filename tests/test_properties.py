@@ -1,4 +1,5 @@
-"""Property tests: the CLI number parsers and the turning-point solver."""
+"""Property tests: the CLI number parsers, the turning-point solver and the
+resummed response function."""
 
 import io
 import math
@@ -7,8 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiclassics import CubicModel, turning_points
+from semiclassics import CubicModel, SemiclassicalContext, response_function, turning_points
 from semiclassics.cli import _build_parser, main
+from semiclassics.gutzwiller import OrbitModel
+from tests.test_gutzwiller import double_sum_response
 
 # Flag texts: arbitrary strings, and the renderings of floats and integers
 # (infinities, NaN, signs and exponents included) that a user might type.
@@ -131,3 +134,22 @@ def test_turning_points_vieta_and_residuals(g, re_e, im_e, sign):
     assert abs(x1 * x2 * x3 + energy / g) <= 1e-10 * max(1.0, abs(energy) / g)
     for root in (x1, x2, x3):
         assert abs(model.potential(root) - energy) <= 1e-12 * max(1.0, abs(energy))
+
+
+# Orbits drawn over the ranges of tests.test_gutzwiller.random_orbit: the
+# period is dS/dE, and Re w stays at or above 0.35 on real E in [-1, 1].
+ORBITS = st.builds(
+    lambda s, w, lam: OrbitModel(
+        name="random", s_coeffs=s, w_coeffs=w, t_coeffs=(s[1], 2.0 * s[2]), lam=lam
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(2.0, 8.0), st.floats(-0.3, 0.3)),
+    st.tuples(st.floats(0.4, 2.0), st.floats(-0.05, 0.05)),
+    st.integers(0, 4),
+)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(orbit=ORBITS, energy=st.floats(-1.0, 1.0))
+def test_response_function_matches_double_sum(orbit, energy):
+    ours = response_function(SemiclassicalContext(), orbit, complex(energy))
+    assert abs(ours - double_sum_response(orbit, energy)) <= 1e-12 * abs(ours)

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from semiclassics import trajectory
 from semiclassics import (
@@ -37,6 +38,45 @@ def quadrature_period(g, energy):
     value, err = quad(integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
     return 2.0 * value
+
+
+def peak_traced_bytes(fn, *args):
+    """Peak memory that Python allocates while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dop853_reference(g, t_eval=None, crossing=False):
+    """Independent solution of the same start (corrected energy, x0 = x1,
+    p0 = 0) by scipy's DOP853 at rtol 1e-13, atol 1e-15: the samples at
+    t_eval, or the first upward crossing of Re x3."""
+    state = corrected_quasi_bound_energy(g)
+    model = CubicModel(g)
+    tps = turning_points(model, state.energy)
+
+    def rhs(t, y):
+        x = y[0] + 1j * y[1]
+        f = model.force(x)
+        return (y[2], y[3], f.real, f.imag)
+
+    def reached_x3(t, y):
+        return y[0] - tps.x3.real
+
+    reached_x3.terminal = True
+    reached_x3.direction = 1
+    t_end = t_eval[-1] if t_eval is not None else 1e4
+    sol = solve_ivp(
+        rhs, (0.0, t_end), [tps.x1.real, tps.x1.imag, 0.0, 0.0], method="DOP853",
+        rtol=1e-13, atol=1e-15, t_eval=t_eval, events=reached_x3 if crossing else None,
+    )
+    assert sol.success
+    if crossing:
+        return float(sol.t_events[0][0])
+    return sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
 
 
 class TestInitialMomentum:
@@ -133,6 +173,16 @@ class TestIntegrate:
         assert a.p.tobytes() == b.p.tobytes()
         assert a.energy_drift.tobytes() == b.energy_drift.tobytes()
 
+    def test_matches_dop853(self):
+        g = 0.17888
+        state = corrected_quasi_bound_energy(g)
+        model = CubicModel(g)
+        x1 = turning_points(model, state.energy).x1
+        traj = integrate(model, state.energy, x1, 0j, IntegratorConfig(t_max=50.0))
+        x, p = dop853_reference(g, t_eval=traj.t)
+        assert np.max(np.abs(traj.x - x)) <= 1e-9
+        assert np.max(np.abs(traj.p - p)) <= 1e-9
+
     def test_medium_horizon_drift_envelope(self):
         # 1e-8 * max(1, |E|) envelope at default tolerances
         g = 0.1
@@ -178,6 +228,25 @@ class TestCrossingTime:
         # sample at or right of Re x3
         assert np.all(traj.x.real[traj.t < t_c] < tps.x3.real)
 
+    @pytest.mark.parametrize("g", [0.17888, 0.16099])
+    def test_matches_dop853(self, g):
+        state = corrected_quasi_bound_energy(g)
+        model = CubicModel(g)
+        x1 = turning_points(model, state.energy).x1
+        t_c = crossing_time(model, state.energy, x1, 0j)
+        assert t_c == pytest.approx(dop853_reference(g, crossing=True), rel=1e-6)
+
+    def test_in_step_excursion_is_found(self):
+        # Re x(tau) = 1.3 - 0.5 + 2 tau - tau**2 on a step of length 2: both
+        # ends sit 0.5 left of the target, the maximum at tau = 1 sits 0.5
+        # right of it.  The first root is tau = 1 - sqrt(1/2).
+        xs = [0.8 + 0.1j, 2.0 - 0.3j, -1.0 + 0.2j]
+        assert trajectory._first_reach(xs, 2.0, 1.3) == pytest.approx(
+            1.0 - math.sqrt(0.5), rel=1e-12
+        )
+        # the same step stopped at tau = 0.25 stays left of the target
+        assert trajectory._first_reach(xs, 0.25, 1.3) is None
+
     def test_start_beyond_x3_crosses_immediately(self):
         g = 0.1
         model = CubicModel(g)
@@ -186,24 +255,21 @@ class TestCrossingTime:
         p0 = initial_momentum(model, 0.3 + 0j, x0)
         assert crossing_time(model, 0.3 + 0j, x0, p0) == 0.0
 
-    def test_memory_is_flat_in_the_horizon(self, monkeypatch):
-        # Each solve_ivp call keeps every accepted step, so the horizon must
-        # be split into legs: one call over t = 3000 keeps ~3e4 states.
-        kept = []
-        solve_ivp = trajectory.solve_ivp
-
-        def recording_solve_ivp(*args, **kwargs):
-            sol = solve_ivp(*args, **kwargs)
-            kept.append(sol.t.size)
-            return sol
-
-        monkeypatch.setattr(trajectory, "solve_ivp", recording_solve_ivp)
+    def test_memory_is_flat_in_the_horizon(self):
+        # The stepper holds only the current state: ten times the horizon
+        # may not raise the peak traced allocation by more than a few kB.
         model = CubicModel(0.1)
         x1 = turning_points(model, 0.3 + 0j).x1
-        with pytest.raises(NoCrossing):
-            crossing_time(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=3000.0))
-        reversibility_error(model, 0.3 + 0j, x1, 0j, 1500.0)
-        assert kept and max(kept) < 10**4
+
+        def no_crossing(t_max):
+            with pytest.raises(NoCrossing):
+                crossing_time(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=t_max))
+
+        def round_trip(duration):
+            reversibility_error(model, 0.3 + 0j, x1, 0j, duration)
+
+        for run, short, long in ((no_crossing, 300.0, 3000.0), (round_trip, 150.0, 1500.0)):
+            assert peak_traced_bytes(run, long) <= peak_traced_bytes(run, short) + 16 * 1024
 
     def test_converged_under_tolerance_refinement(self):
         g = 0.17888
