@@ -6,25 +6,19 @@ lifetime tau.  If the crossing were a faithful classical picture of
 tunneling escape the two should track each other; instead the ratio
 runs from ~5 to ~27 across a factor 1.4 in coupling.
 
-The full grid takes ~25 s (the g = 0.12522 trajectory needs ~15000
-time units).  Pass --fast to run only the two largest couplings.
-
 Run:
-    python3 demos/crossing_vs_lifetime.py [--fast]
+    python3 demos/crossing_vs_lifetime.py
 """
 
-import sys
 import time
 
 from semiclassics.cli import TABLE1_G, compute_table1
 
 
-def main(fast=False):
-    g_values = TABLE1_G[2:] if fast else TABLE1_G
-
+def main():
     print("computing crossing times (corrected quasi-bound energy, x0 = x1) ...")
     started = time.perf_counter()
-    rows = compute_table1(g_values)
+    rows = compute_table1(TABLE1_G)
     elapsed = time.perf_counter() - started
 
     print(f"\n{'g':>9} {'t_c':>10} {'tau':>9} {'t_c/tau':>8} {'t_c ref':>8} {'tau ref':>8}")
@@ -40,4 +34,4 @@ def main(fast=False):
 
 
 if __name__ == "__main__":
-    main(fast="--fast" in sys.argv[1:])
+    main()

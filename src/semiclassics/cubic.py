@@ -6,6 +6,10 @@ x = 1/(3 g), and falls off to -infinity beyond it, so its ground state
 is quasi-bound: it decays with lifetime tau and is represented by a
 complex energy with Im E = -1/(2 tau).
 
+The orbits at energy E are elliptic functions of complex time whose
+period lattice and poles come from contour quadrature of dx/p here
+(private helpers of the crossing search).
+
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
 """
@@ -15,6 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import CoincidentRoots, DegenerateCubic
 
@@ -40,6 +46,18 @@ _DEGENERACY_THRESHOLD = 1e-8
 
 _POLISH_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
+
+# Trapezoid nodes of a period integral before the first refinement, the
+# relative agreement of two successive rules that ends the refinement,
+# and the node count at which it gives up.  At the table couplings 128
+# nodes already match 1024 to rounding.
+_PERIOD_NODES = 128
+_PERIOD_TOL = 1e-13
+_PERIOD_MAX_NODES = 2**16
+
+# Gauss-Legendre nodes of a start's time to its nearest turning point.
+# It only places the first row of poles, which no search comes near.
+_POLE_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -279,3 +297,86 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
             f"turning-point polish stalled at residual {worst:.3e}"
         )
     return TurningPoints(*roots)
+
+
+def _cut_period(g: float, a: complex, b: complex, c: complex) -> complex:
+    """The period of the loop around the cut a-b, c being the third root.
+
+    With p**2 = 2 g (x - a)(x - b)(x - c) and x = m + d cos(theta), m
+    and d the midpoint and half-distance of a and b, the loop integral of
+    dx/p shrunk onto the cut is the integral of
+    1 / sqrt(2 g (c - x(theta))) over one turn of theta.  That integrand
+    is periodic and analytic, so the trapezoid rule converges
+    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); the
+    node count doubles until two rules agree.  The sign of the result is
+    arbitrary.
+    """
+    m = 0.5 * (a + b)
+    d = 0.5 * (b - a)
+
+    def mean(theta):
+        x = m + d * np.cos(theta)
+        # the square root's cut must not meet the segment: sqrt(c - x)
+        # when c lies right of it, i sqrt(x - c) when it lies left
+        root = np.sqrt(c - x) if c.real > m.real else 1j * np.sqrt(x - c)
+        return np.mean(1.0 / root)
+
+    nodes = _PERIOD_NODES
+    rule = mean(2.0 * np.pi * np.arange(nodes) / nodes)
+    while True:
+        refined = 0.5 * (rule + mean(2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
+        nodes *= 2
+        if abs(refined - rule) <= _PERIOD_TOL * abs(refined):
+            return complex(2.0 * np.pi * refined / math.sqrt(2.0 * g))
+        if nodes >= _PERIOD_MAX_NODES:
+            raise ArithmeticError(
+                f"period quadrature did not converge with {nodes} nodes; "
+                "two turning points nearly coincide"
+            )
+        rule = refined
+
+
+def _periods(model: CubicModel, tps: TurningPoints) -> tuple[complex, complex]:
+    """The periods (T, T') of the orbits at the energy of ``tps``.
+
+    Every solution of x'' = -x + 3 g x**2 at energy E is an elliptic
+    function of complex time (DLMF 23) whose period lattice is spanned by
+    T, the loop around the cut x1-x2, and T', the loop around x2-x3.  T is
+    returned with Re T >= 0; a real energy below the barrier gives a real
+    T, the period of the oscillation between x1 and x2.
+    """
+    T = _cut_period(model.g, tps.x1, tps.x2, tps.x3)
+    return (-T if T.real < 0.0 else T), _cut_period(model.g, tps.x2, tps.x3, tps.x1)
+
+
+def _pole_time(
+    tps: TurningPoints, periods: tuple[complex, complex], x0: complex, p0: complex
+) -> complex:
+    """A complex time at which the orbit through (x0, p0) has a pole.
+
+    The result is exact modulo the period lattice.  The orbit that starts
+    at rest at a turning point is even in t and reaches infinity after a
+    half period: T'/2 from x1, (T + T')/2 from x2 and T/2 from x3.  Any
+    other start reaches its nearest turning point xr at the complex time
+    t_r = the integral of dx/p from x0 to xr, with p continued from p0.
+    The substitution x = xr + (x0 - xr) v**2 removes the square-root
+    singularity at xr, and Gauss-Legendre quadrature takes the smooth
+    rest; the nearest root keeps the other two roots at least half their
+    distance to xr away from the path.
+    """
+    T, T_prime = periods
+    roots = tuple(tps)
+    r = min(range(3), key=lambda i: abs(x0 - roots[i]))
+    half = (0.5 * T_prime, 0.5 * (T + T_prime), 0.5 * T)[r]
+    if p0 == 0:
+        return half
+    xr = roots[r]
+    xa, xb = (roots[i] for i in range(3) if i != r)
+    v, w = np.polynomial.legendre.leggauss(_POLE_NODES)
+    v = 0.5 * (v + 1.0)
+    x = xr + (x0 - xr) * v * v
+    # p = v q(v) with q continuous along the path and q(1) = p0: each
+    # ratio below is 1 - t (x0 - xr)/(x0 - xa) with |(x0 - xr)/(x0 - xa)|
+    # <= 1, so it stays off the principal square root's cut
+    q = p0 * np.sqrt((x - xa) / (x0 - xa)) * np.sqrt((x - xb) / (x0 - xb))
+    return half - complex((x0 - xr) * np.sum(w / q))

@@ -13,7 +13,9 @@ x_1 = p and the recurrence
 
 where (x**2)_k is the Cauchy product; the momentum coefficients are
 p_k = (k + 1) x_{k+1}.  One Taylor stepper (Jorba & Zou, Experimental
-Math. 14 (2005) 99) advances the state.  The requested relative
+Math. 14 (2005) 99) advances the state, in real time or along a
+straight line in complex time (the recurrence then gains the square of
+the direction).  The requested relative
 tolerance sets the per-step error target eps = _EPS_PER_TOL * rel_tol
 (no smaller than the rounding unit), the order is ceil(1 - ln(eps)/2),
 and the step is rho/e**2, with the radius rho estimated from the last
@@ -28,6 +30,16 @@ past the target inside one step is not missed.  The energy drift
 at every emitted sample.  The stepper holds only the current state, so
 memory does not grow with the horizon.
 
+The crossing time is not marched to.  Every orbit is an elliptic
+function of complex time (DLMF 23) with a period T of tiny imaginary
+part (``cubic._periods``), so real time n Re T + s is the complex time
+s - i n Im T: after n oscillations the orbit runs along row n, a line
+n |Im T| closer to the first row of poles.  Re x reaches Re x3 once a
+row comes close enough to it.  ``crossing_time`` bisects over n for the
+first such row, below the poles and within the horizon, with a short
+walk in imaginary time and one marched period per try, so its cost
+does not grow with t_c or t_max.
+
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
 sequences on one platform.
@@ -40,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import turning_points
+from .cubic import _periods, _pole_time, turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 __all__ = [
@@ -71,6 +83,10 @@ _SHELL_TOL = 1e-10
 # A computed root of a step polynomial counts as real when its imaginary
 # part, in units of the step length, is below this.
 _REAL_ROOT_TOL = 1e-7
+
+# A period whose imaginary part is below this many rounding units of |T|
+# is real: the orbit repeats and never reaches a row of poles.
+_REAL_PERIOD_TOL = 32 * sys.float_info.epsilon
 
 # Most samples one trajectory may hold: 16 MB per complex column.  The
 # longest crossing horizon, t ~ 1.5e4 at the default interval 0.05, needs
@@ -161,12 +177,15 @@ def _at(xs, tau):
     return x, p
 
 
-def _steps(model, energy, x, p, t_end, cfg):
-    """Taylor steps of x'' = -x + 3 g x**2 from (x, p) at t = 0 to t_end.
+def _steps(model, energy, x, p, t_end, cfg, direction=1.0):
+    """Taylor steps of x'' = -x + 3 g x**2 from (x, p) at t = 0 along the
+    complex times t = direction * tau, 0 <= tau <= t_end; ``direction``
+    has modulus 1 (1 for real time).
 
-    Yields (t, h, xs) for each step: its start, its length and the
-    coefficients of x(t + tau) = sum xs[k] tau**k for 0 <= tau <= h.
-    |H - E| at the step end is checked before the step is yielded.
+    Yields (tau, h, xs) for each step: its start, its length and the
+    coefficients of x(direction * (tau + sigma)) = sum xs[k] sigma**k for
+    0 <= sigma <= h.  |H - E| at the step end is checked before the step
+    is yielded.
     """
     eps = max(_EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
     order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
@@ -174,11 +193,12 @@ def _steps(model, energy, x, p, t_end, cfg):
     # _EPS_PER_TOL * abs_tol
     scale_floor = _EPS_PER_TOL * cfg.abs_tol / eps
     g3 = 3.0 * model.g
-    inv = [1.0 / ((k + 1) * (k + 2)) for k in range(order - 1)]
+    # d/dtau = direction * d/dt, so the recurrence gains direction**2
+    inv = [direction * direction / ((k + 1) * (k + 2)) for k in range(order - 1)]
     e2 = math.exp(2.0)
     t = 0.0
     while t < t_end:
-        xs = [x, p]
+        xs = [x, direction * p]
         for k in range(order - 1):
             # (x**2)_k, each product x_j x_{k-j} taken once
             s = 0j
@@ -204,9 +224,23 @@ def _steps(model, energy, x, p, t_end, cfg):
             raise StepSizeUnderflow(f"step size {h:.3e} at t = {t:.17g} no longer advances time")
 
         x, p = _at(xs, h)
+        p /= direction
         _check_drift(energy, abs(hamiltonian(model, x, p) - energy))
         yield t, h, xs
         t = t_end if h == remaining else t + h
+
+
+def _walk(model, energy, x, p, z, cfg):
+    """(x, p) after the complex time z, on checked Taylor steps along the
+    straight segment from 0 to z."""
+    if z == 0:
+        return x, p
+    length = abs(z)
+    direction = z / length
+    for _tau, h, xs in _steps(model, energy, x, p, length, cfg, direction):
+        pass
+    x, p = _at(xs, h)
+    return x, p / direction
 
 
 def _first_reach(xs, h, target):
@@ -318,13 +352,54 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     )
 
 
+def _reach_on_row(model, energy, x0, p0, period, n, target, cfg):
+    """First s in [0, Re T) at which Re x(n Re T + s) reaches ``target``,
+    or None.
+
+    T is a period, so x(n Re T + s) = x(s - i n Im T): the search walks to
+    the complex time -i n Im T and marches s over one period from there.
+    """
+    x, p = _walk(model, energy, x0, p0, complex(0.0, -n * period.imag), cfg)
+    for s, h, xs in _steps(model, energy, x, p, period.real, cfg):
+        tau = _first_reach(xs, h, target)
+        if tau is not None:
+            return s + tau
+    return None
+
+
+def _rows_below_poles(periods, pole):
+    """The number of rows n = 0, 1, ... whose walks end below the first
+    line of poles.
+
+    In lattice coordinates z = a T + b T', row n's segment
+    -i n Im T + [0, Re T) covers b in [n delta, (n + 1) delta) with
+    delta = b(-i Im T), and the poles sit on the lines b = b(pole) mod 1.
+    The rows counted run up to the one that meets the nearest such line
+    (at least row 0, real time itself).  For the start at rest at x1 the
+    pole is T'/2 and the count is about (|Im T'|/2) / |Im T|.
+    """
+    T, T_prime = periods
+    span = (T_prime * T.conjugate()).imag
+
+    def b(z):
+        return (z * T.conjugate()).imag / span
+
+    delta = b(complex(0.0, -T.imag))
+    level = (b(pole) / delta) % (1.0 / abs(delta))
+    return max(1, math.ceil(level))
+
+
 def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> float:
     """First time at which Re x(t) reaches the rightmost turning point.
 
-    Each step's polynomial is searched as a whole for the crossing
-    condition Re x(t_c) = Re x3, so neither the step ends nor an
-    excursion inside one step decide t_c.  Integration stops at the
-    first crossing.
+    t_c = n Re T + s for the first row n (see the module docstring) on
+    which Re x reaches Re x3 at some s in [0, Re T).  Row 0, the first
+    period of real time, is tried first; the rows above it, up to the
+    first row of poles and the horizon, are bisected, since from the
+    first row that reaches Re x3 on every row does.  Each try walks to
+    -i n Im T and marches one period with the whole-step root search.  A
+    period whose imaginary part is at rounding level (a real energy)
+    makes the orbit periodic, so row 0 alone decides.
 
     Raises
     ------
@@ -332,16 +407,40 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
         If the trajectory stays left of Re x3 for all of cfg.t_max.
     """
     cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
-    target = turning_points(model, E).x3.real
+    tps = turning_points(model, E)
+    target = tps.x3.real
     if x0.real >= target:
         return 0.0
-    for t, h, xs in _steps(model, E, x0, p0, cfg.t_max, cfg):
-        tau = _first_reach(xs, h, target)
-        if tau is not None:
-            return t + tau
-    raise NoCrossing(
-        f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
-    )
+    periods = _periods(model, tps)
+    T = periods[0]
+    if abs(T.imag) <= _REAL_PERIOD_TOL * abs(T):
+        below_poles = 1
+    else:
+        below_poles = _rows_below_poles(periods, _pole_time(tps, periods, x0, p0))
+    rows = min(math.ceil(cfg.t_max / T.real), below_poles)
+
+    def reach(n):
+        return _reach_on_row(model, E, x0, p0, T, n, target, cfg)
+
+    n, s = 0, reach(0)
+    if s is None and rows > 1:
+        # reach(lo) is None; n is the lowest row that may reach, tried
+        # last only if every row below it fails
+        lo, n = 0, rows - 1
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            s_mid = reach(mid)
+            if s_mid is None:
+                lo = mid
+            else:
+                n, s = mid, s_mid
+        if s is None:
+            s = reach(n)
+    if s is None or n * T.real + s > cfg.t_max:
+        raise NoCrossing(
+            f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
+        )
+    return n * T.real + s
 
 
 def reversibility_error(
@@ -362,8 +461,6 @@ def reversibility_error(
 
     x, p = x0, p0
     for _ in range(2):
-        for _t, h, xs in _steps(model, E, x, p, t_total, cfg):
-            pass
-        x, p = _at(xs, h)
+        x, p = _walk(model, E, x, p, t_total, cfg)
         p = -p
     return abs(x - x0) + abs(p - p0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,6 +7,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from semiclassics import trajectory
+from semiclassics.cli import main as cli_main
+from semiclassics.cubic import _periods, _pole_time
 from semiclassics import (
     CubicModel,
     EnergyDriftExceeded,
@@ -38,6 +41,40 @@ def quadrature_period(g, energy):
     value, err = quad(integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
     return 2.0 * value
+
+
+def march_crossing_time(model, energy, x0, p0, t_max=2e5):
+    """The crossing time found by marching through real time, step by step,
+    with the package's stepper and in-step root search: the reference for
+    the lattice reduction, or None if Re x3 is not reached by t_max."""
+    target = turning_points(model, energy).x3.real
+    cfg = IntegratorConfig()
+    for t, h, xs in trajectory._steps(model, energy, x0, p0, t_max, cfg):
+        tau = trajectory._first_reach(xs, h, target)
+        if tau is not None:
+            return t + tau
+    return None
+
+
+def default_start(g):
+    """Model, corrected quasi-bound energy and x1 of a table1 row."""
+    model = CubicModel(g)
+    energy = corrected_quasi_bound_energy(g).energy
+    return model, energy, turning_points(model, energy).x1
+
+
+def count_steps(monkeypatch):
+    """Count the steps every later _steps generator yields."""
+    counter = [0]
+    steps = trajectory._steps
+
+    def counting(*args, **kwargs):
+        for step in steps(*args, **kwargs):
+            counter[0] += 1
+            yield step
+
+    monkeypatch.setattr(trajectory, "_steps", counting)
+    return counter
 
 
 def peak_traced_bytes(fn, *args):
@@ -294,6 +331,105 @@ class TestCrossingTime:
         assert crossed.size > 0
         after = traj.x.real[crossed[0]:]
         assert after.min() < tps.x2.real
+
+
+class TestLatticeReduction:
+    @pytest.mark.parametrize("g", [0.17888, 0.16099, 0.14311, 0.12522])
+    def test_matches_march(self, g):
+        model, energy, x1 = default_start(g)
+        t_c = crossing_time(model, energy, x1, 0j)
+        assert t_c == pytest.approx(march_crossing_time(model, energy, x1, 0j), rel=1e-6)
+
+    @pytest.mark.parametrize("g, first_row", [(0.16099, 30), (0.14311, 199)])
+    def test_scan_finds_the_bisected_row(self, g, first_row):
+        # every row below the bisected one fails the predicate and that
+        # row holds it: the predicate is monotone where bisection looks
+        model, energy, x1 = default_start(g)
+        tps = turning_points(model, energy)
+        T = _periods(model, tps)[0]
+        assert math.floor(crossing_time(model, energy, x1, 0j) / T.real) == first_row
+        cfg = IntegratorConfig()
+        scanned = next(
+            n for n in itertools.count()
+            if trajectory._reach_on_row(model, energy, x1, 0j, T, n, tps.x3.real, cfg) is not None
+        )
+        assert scanned == first_row
+
+    # 2.5, just left of Re x3, crosses within the first period
+    @pytest.mark.parametrize("x0", [0.1, -0.5 + 0.2j, 1.0 - 0.3j, 2.5])
+    def test_explicit_start_matches_march(self, x0):
+        model, energy, _ = default_start(0.16099)
+        p0 = initial_momentum(model, energy, x0)
+        t_c = crossing_time(model, energy, complex(x0), p0)
+        assert t_c == pytest.approx(march_crossing_time(model, energy, complex(x0), p0), rel=1e-6)
+
+    def test_horizon_ends_on_the_crossing_row(self):
+        # t_c just inside the horizon lies on the last row searched
+        model, energy, x1 = default_start(0.16099)
+        t_c = crossing_time(model, energy, x1, 0j)
+        assert crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=t_c + 1e-3)) == t_c
+        with pytest.raises(NoCrossing):
+            crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=t_c - 1e-3))
+
+    def test_real_energy_huge_horizon(self, monkeypatch, capsys):
+        steps = count_steps(monkeypatch)
+        code = cli_main(
+            ["crossing-time", "--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e15"]
+        )
+        assert code == 1
+        assert "never reached" in capsys.readouterr().err
+        # the orbit is periodic: one period decides
+        assert steps[0] <= 100
+
+    def test_no_crossing_before_the_default_horizon(self, monkeypatch):
+        # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
+        model, energy, x1 = default_start(0.1)
+        steps = count_steps(monkeypatch)
+        with pytest.raises(NoCrossing, match="never reached"):
+            crossing_time(model, energy, x1, 0j)
+        assert steps[0] <= 1000
+        assert crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=1e7)) > 2e6
+
+    @pytest.mark.parametrize("g, energy", [(0.12522, None), (0.1, 0.3 + 0j), (0.2, 0.3 + 0.1j)])
+    def test_periods_return_the_orbit(self, g, energy):
+        # a start at rest at x1 comes back to it after T, and one at x2
+        # after T', walked in complex time by the stepper (the walk from
+        # x1 along T' would meet the pole at T'/2)
+        model = CubicModel(g)
+        energy = energy or corrected_quasi_bound_energy(g).energy
+        tps = turning_points(model, energy)
+        for x0, period in zip((tps.x1, tps.x2), _periods(model, tps)):
+            x, p = trajectory._walk(model, energy, x0, 0j, period, IntegratorConfig())
+            assert abs(x - x0) <= 1e-10
+            assert abs(p) <= 1e-10
+
+    def test_period_values(self, monkeypatch):
+        model, energy, _ = default_start(0.12522)
+        tps = turning_points(model, energy)
+        T = _periods(model, tps)[0]
+        assert abs(T - (6.74418274576788 - 0.00117264782667j)) <= 1e-13
+        monkeypatch.setattr("semiclassics.cubic._PERIOD_NODES", 1024)
+        assert abs(_periods(model, tps)[0] - T) <= 1e-15 * abs(T)
+        # a real energy below the barrier: the oscillation period, real to
+        # rounding
+        model = CubicModel(0.1)
+        T = _periods(model, turning_points(model, 0.3 + 0j))[0]
+        assert T.real == pytest.approx(quadrature_period(0.1, 0.3), rel=1e-12)
+        assert abs(T.imag) <= trajectory._REAL_PERIOD_TOL * abs(T)
+
+    @pytest.mark.parametrize("x0", [None, 0.1, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j])
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_pole_time(self, x0, branch):
+        # near a pole t_p, x ~ (2/g) / (t - t_p)**2
+        model, energy, x1 = default_start(0.16099)
+        x0 = x1 if x0 is None else complex(x0)
+        p0 = initial_momentum(model, energy, x0, branch)
+        tps = turning_points(model, energy)
+        pole = _pole_time(tps, _periods(model, tps), x0, p0)
+        for distance in (1.0, 0.5):
+            z = pole * (1.0 - distance / abs(pole))
+            x, _p = trajectory._walk(model, energy, x0, p0, z, IntegratorConfig())
+            assert abs(x) * distance**2 * model.g / 2.0 == pytest.approx(1.0, abs=0.1 * distance)
 
 
 class TestReversibility:
