@@ -51,7 +51,9 @@ class PoleProximity(SemiclassicsError):
 
 class NonConvergent(SemiclassicsError):
     """The repetition sum of the response function does not decay
-    (instability exponent with nonpositive real part)."""
+    (instability exponent with nonpositive real part), or decays too
+    slowly to sum in 10**4 terms (Re w below ~1.2e-6, or the energy far
+    below the real axis)."""
 
 
 class NewtonDiverged(SemiclassicsError):

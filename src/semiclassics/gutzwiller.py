@@ -14,6 +14,13 @@ geometric series over the repetition number n gives
     g(E) = -(i T / 2 hbar) * sum_{k>=0} 2 z_k / (1 - z_k),
     z_k  = exp{i (S/hbar - lam*pi/2) - (k + 1/2) w}.
 
+Its terms decay only as e^{-k Re w}, so ``response_function`` sums the
+first K of them and the rest, by the same expansion read backwards, as
+the repetition sum with 1/sinh kept and each repetition damped by
+e^{-n K w}; with K ~ sqrt(37 / Re w) both parts need about that many
+terms (Lambert-series splitting; the resummed form is that of
+Gutzwiller, *Chaos in Classical and Quantum Mechanics*, 1990).
+
 The poles z_k = 1 form a lattice of complex energies E_ks indexed by
 the instability quantum k and the action quantum s:
 
@@ -52,6 +59,8 @@ __all__ = [
 
 _POLE_EPS = 1e-12
 _TERM_CUTOFF = 1e-16
+# e-folds that take a term below _TERM_CUTOFF: ln(1e16) ~ 36.8.
+_CUTOFF_LOG = -math.log(_TERM_CUTOFF)
 _MAX_TERMS = 10 ** 4
 _RESIDUAL_TOL = 1e-12
 _STEP_TOL = 1e-13
@@ -151,8 +160,18 @@ def eval_orbit(orbit: OrbitModel, energy) -> tuple:
 def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> complex:
     """Resummed single-orbit response g(E).
 
-    The k-sum truncates once a term falls below 1e-16 of the running
-    partial sum, or at k = 10**4.
+    The k-sum is split at K into a head, summed term by term, and a tail
+    summed as a repetition sum with an extra damping e^{-n K w}:
+
+        sum_{k>=K} 2 z_k / (1 - z_k) = sum_{n>=1} r^n / sinh(n w / 2),
+        r = exp{i (S/hbar - lam*pi/2) - K w}.
+
+    The head holds every k with |z_k| >= 1, so a pole z_k = 1 is always
+    met there, and sqrt(37 / Re w) terms more.  Then
+    |z_K| <= exp(-sqrt(37 Re w)), and the tail needs about as many terms
+    as the head: ~2 sqrt(37 / Re w) in all on the real axis, instead of
+    the ~37 / Re w of the k-sum alone.  The tail stops once a term falls
+    below 1e-16 of the running sum.
 
     Raises
     ------
@@ -160,7 +179,10 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
         If some |1 - z_k| < 1e-12 (E within the exclusion radius of a
         pole E_ks).
     NonConvergent
-        If Re w(E) <= 0, so the k-sum does not decay.
+        If Re w(E) <= 0, so the k-sum does not decay, or if head and tail
+        together would need more than 10**4 terms (Re w below ~1.2e-6 on
+        the real axis, or E far below the real axis).  An oversized head
+        is refused before any term is summed.
     """
     E = complex(energy)
     S, w, T = eval_orbit(orbit, E)
@@ -169,8 +191,14 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
             f"instability exponent must have positive real part, got w = {w!r}"
         )
     phase = 1j * (S / ctx.hbar - orbit.lam * math.pi / 2.0)
+    # |z_k| <= 1 from k = grow on.
+    grow = phase.real / w.real - 0.5
+    spread = math.sqrt(_CUTOFF_LOG / w.real)
+    if not grow + spread < _MAX_TERMS:
+        raise _too_many_terms(E, w)
+    split = math.ceil(max(0.0, grow)) + math.ceil(spread)
     total = 0j
-    for k in range(_MAX_TERMS + 1):
+    for k in range(split):
         exponent = phase - (k + 0.5) * w
         if exponent.real > _EXP_HUGE:
             term = complex(-2.0)
@@ -183,9 +211,22 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
                 )
             term = 2.0 * z / one_minus
         total += term
+    ratio = cmath.exp(phase - split * w)
+    power = 1.0
+    for n in range(1, _MAX_TERMS - split + 1):
+        power *= ratio
+        term = power / cmath.sinh(0.5 * n * w)
+        total += term
         if term == 0 or abs(term) < _TERM_CUTOFF * abs(total):
-            break
-    return -1j * T / (2.0 * ctx.hbar) * total
+            return -1j * T / (2.0 * ctx.hbar) * total
+    raise _too_many_terms(E, w)
+
+
+def _too_many_terms(E, w):
+    return NonConvergent(
+        f"the k-sum at E = {E!r} does not converge within {_MAX_TERMS} terms "
+        f"(w = {w!r})"
+    )
 
 
 def sinh_expansion_error(x: float, n_kept: int) -> float:

@@ -1,9 +1,12 @@
+import cmath
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from semiclassics import gutzwiller
 from semiclassics import (
     DegenerateAction,
     NonConvergent,
@@ -71,6 +74,47 @@ def sinh_sum_response(orbit, energy, hbar=1.0):
     n = np.arange(1, n_cap + 1)
     total = (np.exp(1j * n * theta) / np.sinh(n * w / 2.0)).sum()
     return -1j * T / (2.0 * hbar) * total
+
+
+def mpmath_response(orbit, energy, hbar=1.0):
+    """Independent 40-digit oracle: the repetition sum with 1/sinh kept,
+    sum_n e^{i n theta} / sinh(n w / 2), term by term for n < N.  From N
+    on 1/sinh is expanded, and each row sum_{n>=N} 2 x_j^n, with
+    x_j = e^{i theta - (j + 1/2) w}, is summed in closed form as
+    2 x_j^N / (1 - x_j).  That also continues the sum below the first pole
+    row, where the repetition sum itself diverges; there N drops below its
+    default ceil(1 / Re w) so that the growing terms spend at most ~e^20
+    of the 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        E = mp.mpc(energy)
+        S, w, T = (mp.polyval(coeffs[::-1], E)
+                   for coeffs in (orbit.s_coeffs, orbit.w_coeffs, orbit.t_coeffs))
+        theta = S / hbar - orbit.lam * mp.pi / 2
+        growth = -mp.im(theta) - mp.re(w) / 2  # of |e^{i n theta} / sinh(n w / 2)|
+        n_split = int(mp.ceil(1 / mp.re(w)))
+        if growth > 0:
+            n_split = max(1, min(n_split, int(20 / growth)))
+        rotate, half = mp.exp(1j * theta), mp.exp(w / 2)
+        phase, e_half, total = mp.mpc(1), mp.mpc(1), mp.mpc(0)
+        for _ in range(1, n_split):
+            phase *= rotate
+            e_half *= half
+            total += 2 * phase / (e_half - 1 / e_half)
+        x = mp.exp(1j * theta - w / 2)
+        x_split = x ** n_split
+        q, q_split = mp.exp(-w), mp.exp(-n_split * w)
+        j = 0
+        while True:
+            term = 2 * x_split / (1 - x)
+            total += term
+            past_growth = (j + 0.5) * mp.re(w) > -mp.im(theta)
+            if past_growth and abs(term) < mp.mpf(10) ** -36 * abs(total):
+                return complex(-1j * T / (2 * hbar) * total)
+            x *= q
+            x_split *= q_split
+            j += 1
 
 
 def random_orbit(rng):
@@ -180,6 +224,73 @@ class TestResponseFunction:
             lhs = response_function(CTX, orbit, energy.conjugate()).conjugate()
             rhs = response_function(CTX, mirrored, energy)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def linear_orbit(w0):
+    return OrbitModel(name="linear", s_coeffs=(0.01, 2.0 * math.pi), w_coeffs=(w0,),
+                      t_coeffs=(2.0 * math.pi,), lam=2)
+
+
+def quadratic_orbit(w0):
+    return OrbitModel(name="quadratic", s_coeffs=(0.01, 2.0 * math.pi, 0.1),
+                      w_coeffs=(w0, 0.02 * w0), t_coeffs=(2.0 * math.pi, 0.2), lam=2)
+
+
+class TestHeadTailSplit:
+    """The k-sum as head plus tail: accuracy down to Re w = 1e-4, where the
+    k-sum alone would need ~37 / Re w terms, poles and the term cap."""
+
+    # (0.5, 0.3 - 1j): |z_k| > 1 for k < 12, more than the sqrt(37 / Re w)
+    # ~ 9 extra head terms, so the head must cover those rows itself
+    @pytest.mark.parametrize("w0, energy", [(1e-3, 0.3 + 0j), (1e-3, 0.7 + 1e-3j),
+                                            (1e-3, 0.3 - 0.01j), (1e-4, 0.3 + 0j),
+                                            (0.5, 0.3 - 1.0j)])
+    @pytest.mark.parametrize("make", [linear_orbit, quadratic_orbit])
+    def test_matches_mpmath(self, make, w0, energy):
+        orbit = make(w0)
+        ours = response_function(CTX, orbit, energy)
+        assert abs(ours - mpmath_response(orbit, energy)) <= 1e-12 * abs(ours)
+
+    @pytest.mark.parametrize("w0, idx", [(0.01, PoleIndex(3, 1)), (0.5, PoleIndex(20, 0))])
+    def test_pole_proximity_from_a_head_term(self, w0, idx):
+        orbit = linear_orbit(w0)
+        pole = find_pole(CTX, orbit, idx)
+        with pytest.raises(PoleProximity, match=f"z_{idx.k}\\b"):
+            response_function(CTX, orbit, pole)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the head's exp and the tail's sinh evaluations."""
+        counts = {"exp": 0, "sinh": 0}
+
+        def counted(name):
+            def call(z):
+                counts[name] += 1
+                return getattr(cmath, name)(z)
+            return call
+
+        monkeypatch.setattr(gutzwiller, "cmath",
+                            SimpleNamespace(exp=counted("exp"), sinh=counted("sinh")))
+        return counts
+
+    def test_terms_scale_as_inverse_sqrt_w(self, calls):
+        # ~2 sqrt(37 / Re w) = 1,217 terms; the k-sum alone needs ~37 / Re w
+        response_function(CTX, linear_orbit(1e-4), 0.3 + 0j)
+        assert calls["exp"] + calls["sinh"] <= 2.5 * math.sqrt(37.0 / 1e-4)
+
+    # Re w = 1e-10: sqrt(37 / Re w) ~ 6e5 head terms; E = 0.3 - 1000i:
+    # |z_k| > 1 for the first ~12,600 k
+    @pytest.mark.parametrize("orbit, energy", [(linear_orbit(1e-10), 0.3 + 0j),
+                                               (LINEAR, 0.3 - 1000j)])
+    def test_oversized_head_is_refused_before_summing(self, calls, orbit, energy):
+        with pytest.raises(NonConvergent, match="10000 terms"):
+            response_function(CTX, orbit, energy)
+        assert calls == {"exp": 0, "sinh": 0}
+
+    def test_overlong_tail_raises(self):
+        # the head (~6,100 terms) fits the cap, head plus tail does not
+        with pytest.raises(NonConvergent, match="10000 terms"):
+            response_function(CTX, linear_orbit(1e-6), 0.3 + 0j)
 
 
 class TestSinhExpansionError:

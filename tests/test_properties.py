@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from semiclassics import CubicModel, SemiclassicalContext, response_function, turning_points
 from semiclassics.cli import _build_parser, main
 from semiclassics.gutzwiller import OrbitModel
-from tests.test_gutzwiller import double_sum_response
+from tests.test_gutzwiller import double_sum_response, mpmath_response
 
 # Flag texts: arbitrary strings, and the renderings of floats and integers
 # (infinities, NaN, signs and exponents included) that a user might type.
@@ -153,3 +153,28 @@ ORBITS = st.builds(
 def test_response_function_matches_double_sum(orbit, energy):
     ours = response_function(SemiclassicalContext(), orbit, complex(energy))
     assert abs(ours - double_sum_response(orbit, energy)) <= 1e-12 * abs(ours)
+
+
+# Both orbit families with Re w log-uniform over [1e-3, 2] (to within the
+# 2% slope of the quadratic family's w), far below the floor of ORBITS:
+# the k-sum alone needs up to ~4e4 terms there.
+SLOW_ORBITS = st.builds(
+    lambda s, w0, w1, lam, quadratic: OrbitModel(
+        name="slow", s_coeffs=s if quadratic else s[:2],
+        w_coeffs=(w0, w1 * w0) if quadratic else (w0,),
+        t_coeffs=(s[1], 2.0 * s[2]) if quadratic else (s[1],), lam=lam,
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(2.0, 8.0), st.floats(-0.3, 0.3)),
+    st.floats(-3.0, math.log10(2.0)).map(lambda x: 10.0 ** x),
+    st.floats(-0.02, 0.02),
+    st.integers(0, 4),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(orbit=SLOW_ORBITS, re_e=st.floats(-1.0, 1.0), im_e=st.floats(-0.05, 0.05))
+def test_response_function_matches_mpmath_at_small_w(orbit, re_e, im_e):
+    energy = complex(re_e, im_e)
+    ours = response_function(SemiclassicalContext(), orbit, energy)
+    assert abs(ours - mpmath_response(orbit, energy)) <= 1e-12 * abs(ours)
