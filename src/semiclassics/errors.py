@@ -52,8 +52,7 @@ class PoleProximity(SemiclassicsError):
 class NonConvergent(SemiclassicsError):
     """The repetition sum of the response function does not decay
     (instability exponent with nonpositive real part), or decays too
-    slowly to sum in 10**4 terms (Re w below ~1.2e-6, or the energy far
-    below the real axis)."""
+    slowly to sum within the response function's term cap."""
 
 
 class NewtonDiverged(SemiclassicsError):

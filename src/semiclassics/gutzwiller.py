@@ -214,12 +214,18 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
     ratio = cmath.exp(phase - split * w)
     power = 1.0
     for n in range(1, _MAX_TERMS - split + 1):
+        # |z_K| <= e^{-Re w}, so past here |term| < 2 e^{-2 _EXP_HUGE}
+        # underflows, and sinh would overflow.
+        if 0.5 * n * w.real > _EXP_HUGE:
+            break
         power *= ratio
         term = power / cmath.sinh(0.5 * n * w)
         total += term
         if term == 0 or abs(term) < _TERM_CUTOFF * abs(total):
-            return -1j * T / (2.0 * ctx.hbar) * total
-    raise _too_many_terms(E, w)
+            break
+    else:
+        raise _too_many_terms(E, w)
+    return -1j * T / (2.0 * ctx.hbar) * total
 
 
 def _too_many_terms(E, w):

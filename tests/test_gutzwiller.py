@@ -172,6 +172,15 @@ class TestResponseFunction:
         value = response_function(CTX, orbit, 1.0 + 0j)
         assert abs(value) <= 2.0 * math.pi * 2.0 * math.exp(-20.0)
 
+    # sinh(w / 2) overflows a float once Re w > ~1420
+    @pytest.mark.parametrize("orbit, energy", [
+        (OrbitModel(name="stiff", s_coeffs=(0.0, 2.0 * math.pi), w_coeffs=(1500.0,),
+                    t_coeffs=(2.0 * math.pi,), lam=2), 1.0 + 0j),
+        (QUADRATIC, 1.5e5 + 0j),
+    ])
+    def test_instability_past_sinh_overflow_suppresses_response(self, orbit, energy):
+        assert abs(response_function(CTX, orbit, energy)) <= 1e-300
+
     def test_matches_brute_force_oracles(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
@@ -269,8 +278,9 @@ class TestHeadTailSplit:
                 return getattr(cmath, name)(z)
             return call
 
-        monkeypatch.setattr(gutzwiller, "cmath",
-                            SimpleNamespace(exp=counted("exp"), sinh=counted("sinh")))
+        counting = SimpleNamespace(**vars(cmath))
+        counting.exp, counting.sinh = counted("exp"), counted("sinh")
+        monkeypatch.setattr(gutzwiller, "cmath", counting)
         return counts
 
     def test_terms_scale_as_inverse_sqrt_w(self, calls):
