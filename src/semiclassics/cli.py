@@ -55,13 +55,8 @@ __all__ = [
     "resolve_energy",
 ]
 
-# Benchmark coupling grid; reference values ship in data/table1_reference.json.
-TABLE1_G = (0.12522, 0.14311, 0.16099, 0.17888)
-
 # Largest (k, s) rectangle `gutzwiller poles` searches: one Newton solve per pole.
 MAX_POLES = 10**5
-
-TRAJECTORY_HEADER = "t,re_x,im_x,re_p,im_p,energy_drift"
 
 ROOT_HEADERS = ["root", "re", "im"]
 
@@ -119,23 +114,21 @@ def _render(fmt: str, headers, rows):
         yield "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n"
 
 
-def _write_output(lines, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
-
-
 def _emit(args, headers, rows) -> None:
-    """Write rows as a table, CSV, or JSON: {"command", "rows"} with one
-    object per row keyed by the headers."""
-    if args.format == "json":
+    """Write rows to --out or stdout as a table, CSV, or JSON:
+    {"command", "rows"} with one object per row keyed by the headers.  A
+    subcommand without --format (trajectory) writes CSV."""
+    fmt = getattr(args, "format", "csv")
+    if fmt == "json":
         payload = {"command": _command(args), "rows": [dict(zip(headers, r)) for r in rows]}
         lines = [json.dumps(payload) + "\n"]
     else:
-        lines = _render(args.format, headers, rows)
-    _write_output(lines, args.out)
+        lines = _render(fmt, headers, rows)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
 
 
 def _root_rows(tps):
@@ -232,7 +225,7 @@ def _resolve_start(args):
 def _config(args) -> IntegratorConfig:
     """IntegratorConfig from the tolerance, horizon and sampling flags the
     subcommand takes."""
-    names = ("rel_tol", "abs_tol", "t_max", "sample_interval")
+    names = [f.name for f in fields(IntegratorConfig)]
     return IntegratorConfig(**{n: getattr(args, n) for n in names if hasattr(args, n)})
 
 
@@ -260,6 +253,15 @@ def load_reference_table() -> dict:
     return json.loads(text)
 
 
+_REFERENCE = load_reference_table()
+
+# Benchmark coupling grid: the couplings of the shipped reference table.
+TABLE1_G = tuple(_REFERENCE["g"])
+
+_REFERENCE_ROWS = {round(g, 10): (tc, tau) for g, tc, tau
+                   in zip(_REFERENCE["g"], _REFERENCE["t_c"], _REFERENCE["tau"])}
+
+
 def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
     """Crossing time and lifetime for each coupling, default policies,
     with the shipped reference values for the benchmark couplings.
@@ -269,9 +271,6 @@ def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
     started from the leftmost turning point x1 with p0 = 0.
     """
     cfg = cfg or IntegratorConfig()
-    reference = load_reference_table()
-    refs = {round(g, 10): (tc, tau)
-            for g, tc, tau in zip(reference["g"], reference["t_c"], reference["tau"])}
     rows = []
     for g in g_values:
         model = CubicModel(g)
@@ -283,7 +282,7 @@ def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
         except NoCrossing:
             t_c = None
             ratio = None
-        t_c_ref, tau_ref = refs.get(round(g, 10), (None, None))
+        t_c_ref, tau_ref = _REFERENCE_ROWS.get(round(g, 10), (None, None))
         rows.append(Table1Row(g, t_c, state.tau, ratio, t_c_ref, tau_ref))
     return rows
 
@@ -313,7 +312,7 @@ def _cmd_trajectory(args) -> int:
         tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
     rows = zip(traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
-    _write_output(_render("csv", TRAJECTORY_HEADER.split(","), rows), args.out)
+    _emit(args, ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"], rows)
     sys.stdout.writelines(_render("table", ROOT_HEADERS, _root_rows(tps)))
     print(f"wrote {len(traj)} samples to {args.out} "
           f"(max energy drift {traj.max_energy_drift:.3e})")
@@ -393,7 +392,7 @@ class _Parser(argparse.ArgumentParser):
 def _horizon(default: float) -> argparse.ArgumentParser:
     horizon = argparse.ArgumentParser(add_help=False)
     horizon.add_argument("--t-max", type=_nonnegative, default=default,
-                         help=f"integration horizon (default {default:g})")
+                         help="integration horizon (default %(default)g)")
     return horizon
 
 
@@ -404,10 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default table)")
 
     tolerances = argparse.ArgumentParser(add_help=False)
-    tolerances.add_argument("--rel-tol", type=_positive, default=1e-10,
-                            help="relative integration tolerance (default 1e-10)")
-    tolerances.add_argument("--abs-tol", type=_positive, default=1e-12,
-                            help="absolute integration tolerance (default 1e-12)")
+    tolerances.add_argument("--rel-tol", type=_positive, default=IntegratorConfig.rel_tol,
+                            help="relative integration tolerance (default %(default)g)")
+    tolerances.add_argument("--abs-tol", type=_positive, default=IntegratorConfig.abs_tol,
+                            help="absolute integration tolerance (default %(default)g)")
 
     energy = argparse.ArgumentParser(add_help=False)
     energy.add_argument("--energy", type=_complex_or("corrected", "leading"),
@@ -420,7 +419,15 @@ def _build_parser() -> argparse.ArgumentParser:
     start.add_argument("--branch", choices=("+", "-"), default="+",
                        help="momentum branch used for explicit --x0")
 
-    horizon = _horizon(2e5)
+    horizon = _horizon(IntegratorConfig.t_max)
+
+    # Parents declared once and listed last in parents=, so that --help
+    # keeps each subcommand's flag order.
+    single_g = argparse.ArgumentParser(add_help=False)
+    single_g.add_argument("--g", type=_positive, required=True)
+
+    orbit = argparse.ArgumentParser(add_help=False)
+    orbit.add_argument("--orbit", required=True, help="orbit-model JSON file")
 
     parser = _Parser(
         prog="semiclassics",
@@ -434,21 +441,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=_positive, nargs="+", required=True)
     p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("turning-points", parents=[output, energy],
+    p = sub.add_parser("turning-points", parents=[output, energy, single_g],
                        help="the three roots of V(x) = E")
-    p.add_argument("--g", type=_positive, required=True)
     p.set_defaults(func=_cmd_turning_points)
 
-    p = sub.add_parser("trajectory", parents=[tolerances, _horizon(100.0), energy, start],
+    p = sub.add_parser("trajectory",
+                       parents=[tolerances, _horizon(100.0), energy, start, single_g],
                        help="integrate and export a sampled trajectory as CSV")
-    p.add_argument("--g", type=_positive, required=True)
     p.add_argument("--out", required=True, help="the CSV file to write")
-    p.add_argument("--sample-interval", type=_positive, default=0.05)
+    p.add_argument("--sample-interval", type=_positive, default=IntegratorConfig.sample_interval)
     p.set_defaults(func=_cmd_trajectory)
 
-    p = sub.add_parser("crossing-time", parents=[output, tolerances, horizon, energy, start],
+    p = sub.add_parser("crossing-time",
+                       parents=[output, tolerances, horizon, energy, start, single_g],
                        help="first time Re x(t) reaches Re x3")
-    p.add_argument("--g", type=_positive, required=True)
     p.set_defaults(func=_cmd_crossing_time)
 
     p = sub.add_parser("table1", parents=[output, tolerances, horizon],
@@ -460,17 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gutzwiller", help="single-orbit response and poles")
     gsub = p.add_subparsers(dest="gutzwiller_command", required=True)
 
-    pe = gsub.add_parser("eval", parents=[output],
+    pe = gsub.add_parser("eval", parents=[output, orbit],
                          help="evaluate the response function at one energy")
-    pe.add_argument("--orbit", required=True, help="orbit-model JSON file")
     pe.add_argument("--energy", type=_complex, required=True,
                     help="re=..,im=.. or a float")
     pe.add_argument("--hbar", type=_positive, default=1.0)
     pe.set_defaults(func=_cmd_gutzwiller_eval)
 
-    pp = gsub.add_parser("poles", parents=[output],
+    pp = gsub.add_parser("poles", parents=[output, orbit],
                          help="resonance poles over a (k, s) rectangle")
-    pp.add_argument("--orbit", required=True, help="orbit-model JSON file")
     pp.add_argument("--k-max", type=_count, default=3)
     pp.add_argument("--s-max", type=_count, default=3)
     pp.add_argument("--hbar", type=_positive, default=1.0)

@@ -80,10 +80,6 @@ DRIFT_FAILURE_LIMIT = 1e-6
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
 
-# A computed root of a step polynomial counts as real when its imaginary
-# part, in units of the step length, is below this.
-_REAL_ROOT_TOL = 1e-7
-
 # A period whose imaginary part is below this many rounding units of |T|
 # is real: the orbit repeats and never reaches a row of poles.
 _REAL_PERIOD_TOL = 32 * sys.float_info.epsilon
@@ -189,8 +185,9 @@ def _steps(model, energy, x, p, t_end, cfg, direction=1.0):
     """
     eps = max(_EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
     order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
-    # the local error target is eps * max(|x|, |p|) or, near the origin,
-    # _EPS_PER_TOL * abs_tol
+    # the local error target is eps * max(|x|, |p|, scale_floor): abs_tol
+    # governs wherever max(|x|, |p|) < abs_tol / rel_tol: 1e-2 at the
+    # defaults, 10 at rel_tol = 1e-13
     scale_floor = _EPS_PER_TOL * cfg.abs_tol / eps
     g3 = 3.0 * model.g
     # d/dtau = direction * d/dt, so the recurrence gains direction**2
@@ -249,7 +246,9 @@ def _first_reach(xs, h, target):
 
     The step is skipped only when Re x_0 + sum_{k>=1} |Re x_k| h**k, a
     bound on Re x over the whole step, stays below the target; otherwise
-    the first real root of the polynomial minus the target is taken.
+    the first exactly real root of the polynomial minus the target is
+    taken.  The polynomial is real, so np.roots (LAPACK's real Schur
+    form) returns its real roots with imaginary part exactly 0.
     """
     a = [c.real for c in xs]
     a[0] -= target
@@ -265,7 +264,7 @@ def _first_reach(xs, h, target):
     roots = [
         float(r.real)
         for r in np.roots(scaled[::-1])
-        if abs(r.imag) <= _REAL_ROOT_TOL and 0.0 <= r.real <= 1.0
+        if r.imag == 0.0 and 0.0 <= r.real <= 1.0
     ]
     return h * min(roots) if roots else None
 
@@ -283,12 +282,16 @@ def _check_shell(model, energy, x0, p0):
 
 
 def _sample_times(t_max, interval):
-    n = int(math.floor(t_max / interval + 1e-9))
-    if n + 1 > MAX_SAMPLES:
+    # floor(count) + 1 samples, over the limit exactly when count is; count
+    # is inf at a subnormal interval, so it is checked before floor
+    count = t_max / interval + 1e-9
+    if count >= MAX_SAMPLES:
+        needed = math.floor(count) + 1 if math.isfinite(count) else count
         raise ValueError(
-            f"t_max = {t_max:g} at sample interval {interval:g} needs {n + 1} samples; "
+            f"t_max = {t_max:g} at sample interval {interval:g} needs {needed} samples; "
             f"the limit is {MAX_SAMPLES}"
         )
+    n = math.floor(count)
     times = interval * np.arange(n + 1)
     times[-1] = min(times[-1], t_max)
     if t_max - times[-1] > 1e-12 * max(1.0, t_max):
@@ -451,11 +454,15 @@ def reversibility_error(
     Integrates for ``t_total``, flips the momentum sign, integrates for
     ``t_total`` again, flips back, and returns
     |x_final - x0| + |p_final - p0|.  Exact dynamics gives zero; the
-    result measures the integrator's time-reversal fidelity.
+    result measures the integrator's time-reversal fidelity.  A
+    ``t_total`` beyond ``cfg.t_max`` is refused before any step.
     """
     cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     if not (math.isfinite(t_total) and t_total >= 0):
         raise ValueError(f"t_total must be nonnegative, got {t_total!r}")
+    if t_total > cfg.t_max:
+        raise ValueError(f"t_total = {t_total:g} exceeds the horizon; the limit is "
+                         f"t_max = {cfg.t_max:g}")
     if t_total == 0.0:
         return 0.0
 

@@ -6,6 +6,7 @@ import pytest
 
 from semiclassics import (
     CubicModel,
+    IntegratorConfig,
     SemiclassicalContext,
     corrected_quasi_bound_energy,
     crossing_time,
@@ -13,7 +14,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
-from semiclassics.cli import MAX_POLES, main
+from semiclassics.cli import MAX_POLES, _build_parser, _config, main
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -137,6 +138,8 @@ class TestTrajectory:
             # explicit start at the barrier-top energy: no distinct turning points
             (["--g", "0.5", "--energy", f"re={1.0 / (54.0 * 0.25)},im=0",
               "--x0", "re=0.1,im=0", "--t-max", "1"], "barrier top"),
+            # a subnormal interval: the sample count overflows to inf
+            (["--g", "0.1", "--t-max", "100", "--sample-interval", "1e-320"], "samples"),
         ],
     )
     def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, reason):
@@ -340,6 +343,14 @@ class TestReversibility:
         assert code == 2
         assert "harmonic" in err
 
+    def test_duration_beyond_the_horizon_fails_cleanly(self, capsys):
+        # refused before the round trip, which would never return
+        code, out, err = run(capsys, "reversibility", "--g", "0.1", "--duration", "1e300")
+        assert code == 1
+        assert out == ""
+        assert "t_max = 200000" in err
+        assert "Traceback" not in err
+
 
 # Every argv must be refused by the parser: exit 2, nothing on stdout.
 HOSTILE_ARGV = [
@@ -411,6 +422,56 @@ def test_exponent_form_negative_is_a_value(capsys, tmp_path, monkeypatch, argv, 
     code, out, _ = run(capsys, *argv, "--format", "csv")
     assert code == 0
     assert out == run(capsys, *same_as, "--format", "csv")[1]
+
+
+# The manifest's parameters are the parsed flags plus the values the
+# command resolved; a replay reads exactly these keys.
+MANIFEST_PARAMETERS = [
+    (["tau", "--g", "0.17888"], {"format", "g", "out"}),
+    (["turning-points", "--g", "0.1"], {"energy", "format", "g", "out"}),
+    (["trajectory", "--g", "0.1", "--t-max", "1", "--out", "traj.csv"],
+     {"abs_tol", "branch", "energy", "g", "out", "p0", "rel_tol", "sample_interval", "t_max",
+      "x0", "x0_policy"}),
+    (["crossing-time", "--g", "0.17888"],
+     {"abs_tol", "branch", "energy", "format", "g", "out", "p0", "rel_tol", "t_max", "x0",
+      "x0_policy"}),
+    (["table1", "--g", "0.17888"],
+     {"abs_tol", "energy_policy", "format", "g", "out", "rel_tol", "t_max", "x0_policy"}),
+    (["gutzwiller", "eval", "--orbit", "orbit.json", "--energy", "1.0"],
+     {"energy", "format", "hbar", "orbit", "out"}),
+    (["gutzwiller", "poles", "--orbit", "orbit.json", "--k-max", "0", "--s-max", "0"],
+     {"format", "hbar", "k_max", "orbit", "out", "s_max"}),
+    (["reversibility", "--harmonic", "--duration", "1"],
+     {"abs_tol", "branch", "duration", "energy", "format", "g", "harmonic", "out", "p0",
+      "rel_tol", "x0", "x0_policy"}),
+]
+
+
+@pytest.mark.parametrize("argv, parameters", MANIFEST_PARAMETERS,
+                         ids=[" ".join(argv) for argv, _ in MANIFEST_PARAMETERS])
+def test_manifest_keys(capsys, tmp_path, monkeypatch, argv, parameters):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps(LINEAR_ORBIT), encoding="utf-8")
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    manifest = json.loads(err.split("\n")[0])
+    assert set(manifest) == {"command", "parameters", "timestamp", "version"}
+    assert set(manifest["parameters"]) == parameters
+
+
+@pytest.mark.parametrize(
+    "argv, t_max",
+    [
+        # trajectory's own horizon is the one CLI default that differs
+        (["trajectory", "--g", "0.1", "--out", "traj.csv"], 100.0),
+        (["crossing-time", "--g", "0.1"], IntegratorConfig().t_max),
+        (["table1"], IntegratorConfig().t_max),
+        (["reversibility", "--harmonic", "--duration", "1"], IntegratorConfig().t_max),
+    ],
+    ids=["trajectory", "crossing-time", "table1", "reversibility"],
+)
+def test_integration_defaults_are_the_library_defaults(argv, t_max):
+    assert _config(_build_parser().parse_args(argv)) == IntegratorConfig(t_max=t_max)
 
 
 def test_pole_grid_is_bounded(capsys, tmp_path, monkeypatch):

@@ -197,6 +197,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="samples"):
             integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
 
+    def test_infinite_sample_count_is_capped(self):
+        # t_max / interval overflows to inf at a subnormal interval
+        cfg = IntegratorConfig(t_max=100.0, sample_interval=1e-320)
+        with pytest.raises(ValueError, match="samples"):
+            integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
+
     def test_deterministic_replay(self):
         g = 0.17888
         state = corrected_quasi_bound_energy(g)
@@ -455,6 +461,17 @@ class TestReversibility:
             model, 0.3 + 0j, x1, 0j, 50.0, IntegratorConfig(rel_tol=1e-10)
         )
         assert loose > tight
+
+    def test_duration_is_bounded_by_the_horizon(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trajectory, "_steps", lambda *args: calls.append(args))
+        model = CubicModel(0.1)
+        x1 = turning_points(model, 0.3 + 0j).x1
+        with pytest.raises(ValueError, match="t_max = 200000"):
+            reversibility_error(model, 0.3 + 0j, x1, 0j, 1e300)
+        with pytest.raises(ValueError, match="t_max = 10"):
+            reversibility_error(model, 0.3 + 0j, x1, 0j, 10.5, IntegratorConfig(t_max=10.0))
+        assert calls == []
 
     def test_zero_duration_is_exact(self):
         assert reversibility_error(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, 0.0) == 0.0
