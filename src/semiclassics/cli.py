@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
+from itertools import repeat
 
 from . import __version__
 from .cubic import (
@@ -98,15 +99,21 @@ def _cell(value, digits: int, missing: str) -> str:
 
 
 def _render(fmt: str, headers, rows):
-    """Yield the text lines of rows of plain values: CSV with 17
+    """Yield the text lines of rows (tuples) of plain values: CSV with 17
     significant digits, one line per row as it comes, or a right-aligned
     table with 6.  A missing value (None) is an empty CSV cell and
     ``none`` in a table.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
+        # a row of floats (numpy float64 included) in one formatting call;
+        # '%.17g' % v and f"{v:.17g}" are the same conversion
+        floats = ",".join(["%.17g"] * len(headers)) + "\n"
         for row in rows:
-            yield ",".join(_cell(v, 17, "") for v in row) + "\n"
+            if all(map(isinstance, row, repeat(float))):
+                yield floats % row
+            else:
+                yield ",".join(_cell(v, 17, "") for v in row) + "\n"
         return
     cells = [[_cell(v, 6, "none") for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(headers, *cells)]

@@ -14,7 +14,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
-from semiclassics.cli import MAX_POLES, _build_parser, _config, main
+from semiclassics.cli import MAX_POLES, _build_parser, _cell, _config, _render, main
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -38,6 +38,36 @@ def read_csv(text):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+class TestRender:
+    # all-float rows (one template per row) and mixed rows (cell by cell)
+    HEADERS = ["a", "b", "c", "d", "e", "f"]
+    ROWS = [
+        (math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-1 / 3)),
+        (0.1, np.float64(1e300), 2.0**60, 1.0, -2.5e-8, np.float64(0.0)),
+        (None, "x1", 7, 2**53 + 1, True, np.float64(0.1)),
+        (False, -7, None, "", math.nan, 12345678.9),
+        (3, True, 2**53 + 1, 0.5, np.float64(2.0), -0.0),  # numbers, not all floats
+    ]
+
+    def test_csv_rows_are_the_cells(self):
+        expected = [",".join(self.HEADERS) + "\n"]
+        expected += [",".join(_cell(v, 17, "") for v in row) + "\n" for row in self.ROWS]
+        assert list(_render("csv", self.HEADERS, iter(self.ROWS))) == expected
+        assert expected[1] == "nan,inf,-inf,-0,4.9406564584124654e-324,-0.33333333333333331\n"
+        assert expected[3] == ",x1,7,9007199254740993,True,0.10000000000000001\n"
+        assert expected[5] == "3,True,9007199254740993,0.5,2,-0\n"
+
+    def test_table(self):
+        assert list(_render("table", self.HEADERS, self.ROWS)) == [
+            "    a       b                 c                 d             e            f\n",
+            "  nan     inf              -inf                -0  4.94066e-324    -0.333333\n",
+            "  0.1  1e+300       1.15292e+18                 1      -2.5e-08            0\n",
+            " none      x1                 7  9007199254740993          True          0.1\n",
+            "False      -7              none                             nan  1.23457e+07\n",
+            "    3    True  9007199254740993               0.5             2           -0\n",
+        ]
 
 
 class TestTau:

@@ -56,6 +56,21 @@ def march_crossing_time(model, energy, x0, p0, t_max=2e5):
     return None
 
 
+def per_sample_dense_output(model, energy, x0, p0, cfg):
+    """x and p of every sample by the per-sample loop: sample i on the
+    first step with times[i] - t <= h, evaluated there by _at."""
+    grid = trajectory._sample_times(cfg.t_max, cfg.sample_interval).tolist()
+    x = np.empty(len(grid), dtype=complex)
+    p = np.empty_like(x)
+    x[0], p[0] = x0, p0
+    i = 1
+    for t, h, xs in trajectory._steps(model, energy, x0, p0, cfg.t_max, cfg):
+        while i < len(grid) and grid[i] - t <= h:
+            x[i], p[i] = trajectory._at(xs, grid[i] - t)
+            i += 1
+    return x, p
+
+
 def default_start(g):
     """Model, corrected quasi-bound energy and x1 of a table1 row."""
     model = CubicModel(g)
@@ -202,6 +217,49 @@ class TestIntegrate:
         cfg = IntegratorConfig(t_max=100.0, sample_interval=1e-320)
         with pytest.raises(ValueError, match="samples"):
             integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
+
+    def test_sample_limit_message_is_short(self):
+        # 1e300 samples: the message names the limit, not the count
+        cfg = IntegratorConfig(t_max=1.0, sample_interval=1e-300)
+        with pytest.raises(ValueError, match="samples") as info:
+            integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
+        assert len(str(info.value)) <= 120
+
+    @pytest.mark.parametrize(
+        "t_max, interval",
+        [
+            (200.0, 0.05),  # 4,001 samples: four blocks of 1,024
+            (123.456, 0.07),  # t_max off the grid: an extra final sample
+            (400.0, 7.3),  # most steps hold no sample
+            (3.0, 1e-4),  # one step holds thousands, across blocks
+        ],
+    )
+    def test_dense_output_matches_per_sample_loop(self, t_max, interval):
+        model, energy, x1 = default_start(0.1433)
+        cfg = IntegratorConfig(t_max=t_max, sample_interval=interval)
+        traj = integrate(model, energy, x1, 0j, cfg)
+        x, p = per_sample_dense_output(model, energy, x1, 0j, cfg)
+        assert traj.x.tobytes() == x.tobytes()
+        assert traj.p.tobytes() == p.tobytes()
+
+    def test_extra_memory_is_flat_in_the_horizon(self):
+        # Beyond its output arrays, integrate holds one block of samples:
+        # ten times the horizon may not raise the rest of the peak.
+        model = CubicModel(0.1)
+        x1 = turning_points(model, 0.3 + 0j).x1
+
+        def extra(t_max):
+            cfg = IntegratorConfig(t_max=t_max)
+            tracemalloc.start()
+            try:
+                traj = integrate(model, 0.3 + 0j, x1, 0j, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = (traj.t, traj.x, traj.p, traj.energy_drift)
+            return peak - sum(a.nbytes for a in arrays)
+
+        assert extra(600.0) <= extra(60.0) + 16 * 1024
 
     def test_deterministic_replay(self):
         g = 0.17888
