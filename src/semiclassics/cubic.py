@@ -6,9 +6,10 @@ x = 1/(3 g), and falls off to -infinity beyond it, so its ground state
 is quasi-bound: it decays with lifetime tau and is represented by a
 complex energy with Im E = -1/(2 tau).
 
-The orbits at energy E are elliptic functions of complex time whose
-period lattice and poles come from contour quadrature of dx/p here
-(private helpers of the crossing search).
+The orbits at energy E are elliptic functions of complex time.  Their
+period lattice comes from Gauss's arithmetic-geometric mean and their
+poles from a quadrature of dx/p here (private helpers of the crossing
+search).
 
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
@@ -46,14 +47,6 @@ _DEGENERACY_THRESHOLD = 1e-8
 
 _POLISH_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
-
-# Trapezoid nodes of a period integral before the first refinement, the
-# relative agreement of two successive rules that ends the refinement,
-# and the node count at which it gives up.  At the table couplings 128
-# nodes already match 1024 to rounding.
-_PERIOD_NODES = 128
-_PERIOD_TOL = 1e-13
-_PERIOD_MAX_NODES = 2**16
 
 # Gauss-Legendre nodes of a start's time to its nearest turning point.
 # It only places the first row of poles, which no search comes near.
@@ -93,8 +86,9 @@ class CubicModel:
 class HarmonicModel:
     """Reference oscillator V(x) = x**2/2, the g -> 0 limit of the well.
 
-    It shares the potential/force interface of :class:`CubicModel`, so
-    the trajectory engine can run closed-form-checkable orbits with it.
+    It has the ``g`` and ``potential`` that the trajectory stepper reads
+    from :class:`CubicModel`, so the stepper can run orbits with closed
+    forms on it.
     """
 
     g: ClassVar[float] = 0.0
@@ -302,38 +296,23 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
 def _cut_period(g: float, a: complex, b: complex, c: complex) -> complex:
     """The period of the loop around the cut a-b, c being the third root.
 
-    With p**2 = 2 g (x - a)(x - b)(x - c) and x = m + d cos(theta), m
-    and d the midpoint and half-distance of a and b, the loop integral of
-    dx/p shrunk onto the cut is the integral of
-    1 / sqrt(2 g (c - x(theta))) over one turn of theta.  That integrand
-    is periodic and analytic, so the trapezoid rule converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); the
-    node count doubles until two rules agree.  The sign of the result is
-    arbitrary.
+    With p**2 = 2 g (x - a)(x - b)(x - c), the loop integral of dx/p
+    shrunk onto the cut is 2 pi / (sqrt(2 g) M), where M is Gauss's
+    arithmetic-geometric mean of sqrt(c - a) and sqrt(c - b) (DLMF
+    19.8).  For complex arguments each step takes the right choice of
+    the geometric mean, the one with Re(v/u) >= 0 (Cox, Enseign. Math.
+    30 (1984) 275); the first such choice follows sqrt(c - x)
+    continuously along the cut.  The iteration converges quadratically
+    and ends at rounding level.  The sign of the result is arbitrary.
     """
-    m = 0.5 * (a + b)
-    d = 0.5 * (b - a)
-
-    def mean(theta):
-        x = m + d * np.cos(theta)
-        # the square root's cut must not meet the segment: sqrt(c - x)
-        # when c lies right of it, i sqrt(x - c) when it lies left
-        root = np.sqrt(c - x) if c.real > m.real else 1j * np.sqrt(x - c)
-        return np.mean(1.0 / root)
-
-    nodes = _PERIOD_NODES
-    rule = mean(2.0 * np.pi * np.arange(nodes) / nodes)
+    u = cmath.sqrt(c - a)
+    v = cmath.sqrt(c - b)
     while True:
-        refined = 0.5 * (rule + mean(2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes))
-        nodes *= 2
-        if abs(refined - rule) <= _PERIOD_TOL * abs(refined):
-            return complex(2.0 * np.pi * refined / math.sqrt(2.0 * g))
-        if nodes >= _PERIOD_MAX_NODES:
-            raise ArithmeticError(
-                f"period quadrature did not converge with {nodes} nodes; "
-                "two turning points nearly coincide"
-            )
-        rule = refined
+        if (v / u).real < 0.0:
+            v = -v
+        if abs(u - v) <= 4.0 * sys.float_info.epsilon * abs(u):
+            return 2.0 * math.pi / (math.sqrt(2.0 * g) * u)
+        u, v = 0.5 * (u + v), cmath.sqrt(u * v)
 
 
 def _periods(model: CubicModel, tps: TurningPoints) -> tuple[complex, complex]:

@@ -131,7 +131,7 @@ class OrbitModel:
             object.__setattr__(self, field, coeffs)
         if not isinstance(self.lam, int) or isinstance(self.lam, bool) or self.lam < 0:
             raise ValueError(
-                f"focal-point count must be a nonnegative integer, got {self.lam!r}"
+                f"focal-point count lambda must be a nonnegative integer, got {self.lam!r}"
             )
         # dS/dE = T on 10 sample energies, when both sides are present.
         if len(self.t_coeffs) >= 1 and len(self.s_coeffs) >= 2:
@@ -352,11 +352,6 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
             raise OrbitSchemaError(f"{source}: missing required field '{field}'")
     if not isinstance(data["name"], str):
         raise OrbitSchemaError(f"{source}: field 'name' must be a string")
-    lam = data["lambda"]
-    if isinstance(lam, bool) or not isinstance(lam, int) or lam < 0:
-        raise OrbitSchemaError(
-            f"{source}: field 'lambda' must be a nonnegative integer"
-        )
     s_coeffs = _number_list("S")
     w_coeffs = _number_list("w")
     if "T" in data:
@@ -373,7 +368,7 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
             s_coeffs=tuple(s_coeffs),
             w_coeffs=tuple(w_coeffs),
             t_coeffs=tuple(t_coeffs),
-            lam=lam,
+            lam=data["lambda"],
         )
     except ValueError as exc:
         raise OrbitSchemaError(f"{source}: {exc}") from exc

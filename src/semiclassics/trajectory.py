@@ -174,7 +174,8 @@ def _check_drift(energy, drift):
 
 
 def _at(xs, tau):
-    """x and p = dx/dt of the step polynomial sum xs[k] tau**k."""
+    """x and p = dx/dt of the step polynomial sum xs[k] tau**k; for an
+    array tau, xs holds matching arrays of coefficients."""
     x = xs[-1]
     p = 0j
     for c in xs[-2::-1]:
@@ -312,19 +313,12 @@ def _horner(block, times):
     """x and p at ``times`` from the buffered steps ``block``: (t, count,
     xs) for each step, in order, holding the next ``count`` samples.
 
-    The operations are those of ``_at``, applied to all samples at once,
-    so each sample is bit-identical to ``_at(xs, time - t)``.
+    ``_at`` runs on the rows of all samples' coefficients at once, so
+    each sample is bit-identical to ``_at(xs, time - t)``.
     """
     starts, counts, coefs = zip(*block)
     owner = np.repeat(np.arange(len(block)), counts)
-    tau = times - np.array(starts)[owner]
-    cs = np.array(coefs).T
-    x = cs[-1][owner]
-    p = np.zeros_like(x)
-    for c in cs[-2::-1]:
-        p = p * tau + x
-        x = x * tau + c[owner]
-    return x, p
+    return _at(np.array(coefs).T[:, owner], times - np.array(starts)[owner])
 
 
 def _dense_output(steps, times, x, p):
@@ -359,7 +353,8 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     Parameters
     ----------
     model : CubicModel or HarmonicModel
-        Supplies the potential and force.
+        Supplies the coupling g of the stepper's recurrence and the
+        potential of the drift check.
     energy : complex
         The conserved value of H; used only as the drift reference.
     x0, p0 : complex

@@ -492,6 +492,11 @@ class TestOrbitIO:
         with pytest.raises(OrbitSchemaError, match="lambda"):
             load_orbit(path)
 
+    @pytest.mark.parametrize("lam", [-1, 1.5, True, "2"])
+    def test_bad_lambda_names_the_field(self, lam):
+        with pytest.raises(OrbitSchemaError, match="lambda"):
+            orbit_from_dict({"name": "d", "lambda": lam, "S": [0.0, 1.0], "w": [0.5]})
+
     def test_missing_period_for_nonlinear_action(self):
         with pytest.raises(OrbitSchemaError, match="'T'"):
             orbit_from_dict(

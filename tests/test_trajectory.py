@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -41,6 +42,19 @@ def quadrature_period(g, energy):
     value, err = quad(integrand, -math.pi / 2.0, math.pi / 2.0, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
     return 2.0 * value
+
+
+def trapezoid_period(g, a, b, c, nodes=4096):
+    """Period oracle for the loop around the cut a-b, c the third root:
+    2 pi / sqrt(2 g) times the mean of 1 / sqrt(c - x) over x = m + d cos
+    theta on a fixed trapezoid grid (geometric convergence for a periodic
+    analytic integrand), with the square root's cut kept off the segment.
+    The sign is arbitrary."""
+    m = 0.5 * (a + b)
+    d = 0.5 * (b - a)
+    x = m + d * np.cos(2.0 * np.pi * np.arange(nodes) / nodes)
+    root = np.sqrt(c - x) if c.real > m.real else 1j * np.sqrt(x - c)
+    return complex(2.0 * np.pi * np.mean(1.0 / root) / math.sqrt(2.0 * g))
 
 
 def march_crossing_time(model, energy, x0, p0, t_max=2e5):
@@ -467,19 +481,43 @@ class TestLatticeReduction:
             assert abs(x - x0) <= 1e-10
             assert abs(p) <= 1e-10
 
-    def test_period_values(self, monkeypatch):
+    def test_period_values(self):
         model, energy, _ = default_start(0.12522)
         tps = turning_points(model, energy)
         T = _periods(model, tps)[0]
         assert abs(T - (6.74418274576788 - 0.00117264782667j)) <= 1e-13
-        monkeypatch.setattr("semiclassics.cubic._PERIOD_NODES", 1024)
-        assert abs(_periods(model, tps)[0] - T) <= 1e-15 * abs(T)
         # a real energy below the barrier: the oscillation period, real to
         # rounding
         model = CubicModel(0.1)
         T = _periods(model, turning_points(model, 0.3 + 0j))[0]
         assert T.real == pytest.approx(quadrature_period(0.1, 0.3), rel=1e-12)
         assert abs(T.imag) <= trajectory._REAL_PERIOD_TOL * abs(T)
+
+    @pytest.mark.parametrize(
+        "g, energy",
+        [(0.17888, None), (0.16099, None), (0.14311, None), (0.12522, None),
+         (0.1, 0.3 + 0j), (0.1, 2.5 + 0j), (0.2, 0.3 + 0.1j)],
+    )
+    def test_periods_match_the_trapezoid_rule(self, g, energy):
+        model = CubicModel(g)
+        energy = energy or corrected_quasi_bound_energy(g).energy
+        tps = turning_points(model, energy)
+        T, T_prime = _periods(model, tps)
+        for period, cut in ((T, (tps.x1, tps.x2, tps.x3)), (T_prime, (tps.x2, tps.x3, tps.x1))):
+            reference = trapezoid_period(g, *cut)
+            assert min(abs(period - reference), abs(period + reference)) <= 1e-14 * abs(reference)
+        assert T.real >= 0.0
+
+    def test_nearly_coincident_turning_points(self):
+        # 1e-12 below the barrier top x2 and x3 are 2.8e-6 apart, above the
+        # coincidence threshold: the orbit is bound, so it never crosses
+        model = CubicModel(0.1)
+        energy = complex(1.0 / (54.0 * 0.01) - 1e-12)
+        tps = turning_points(model, energy)
+        T, T_prime = _periods(model, tps)
+        assert all(cmath.isfinite(z) for z in (T, T_prime))
+        with pytest.raises(NoCrossing, match="never reached"):
+            crossing_time(model, energy, tps.x1, 0j)
 
     @pytest.mark.parametrize("x0", [None, 0.1, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j])
     @pytest.mark.parametrize("branch", [1, -1])
