@@ -6,6 +6,9 @@ a JSON run manifest to stderr with all resolved parameters, so a run
 can be replayed exactly.  Numeric output uses 6 significant digits in
 human tables and 17 in CSV.
 
+The argparse tree is built on the first ``main`` call and reused by
+every later call in the process.
+
 Exit codes: 0 on success, 1 when a run fails, 2 for a usage error
 (including a number that is out of range or not finite).
 """
@@ -13,6 +16,7 @@ Exit codes: 0 on success, 1 when a run fails, 2 for a usage error
 import argparse
 import cmath
 import datetime
+import functools
 import json
 import math
 import re
@@ -403,7 +407,11 @@ def _horizon(default: float) -> argparse.ArgumentParser:
     return horizon
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once: parse_args leaves the parser unchanged and returns a fresh
+    # Namespace, every default is immutable, and the handlers look up the
+    # library functions as module globals when they run.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="write output to this file")
     output.add_argument("--format", choices=("table", "csv", "json"), default="table",

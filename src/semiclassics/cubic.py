@@ -206,13 +206,36 @@ def _newton_polish(model: CubicModel, x: complex, energy: complex, scale: float)
     return x
 
 
+def _real_energy_roots(model: CubicModel, energy: float, roots, scale: float):
+    """The roots of a real energy with the structure its discriminant gives.
+
+    The closed form leaves rounding-level imaginary parts on roots that
+    are real.  The discriminant of V(x) = E is 27 E (E_top - E) / g**2,
+    with no cancellation in that form: for 0 < E < E_top the three roots
+    are real, and the real parts are polished in real arithmetic; outside
+    that range one root is real and the other two are an exact conjugate
+    pair.
+    """
+    height = model.barrier_height
+    if energy == 0.0 or energy == height:
+        where = "barrier top" if energy else "bottom of the well"
+        raise CoincidentRoots(f"double turning point: E = {energy!r} is at the {where}")
+    if 0.0 < energy < height:
+        return [complex(_newton_polish(model, r.real, energy, scale)) for r in roots]
+    real, *pair = sorted(roots, key=lambda z: abs(z.imag))
+    upper = max(pair, key=lambda z: z.imag)
+    return [complex(_newton_polish(model, real.real, energy, scale)), upper, upper.conjugate()]
+
+
 def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     """Solve V(x) = E for the three complex turning points.
 
     The monic form x**3 - x**2/(2g) + E/g = 0 is solved in closed form
     (Cardano with the cancellation-avoiding branch, then deflation to a
     stable quadratic), and every root is polished by Newton iteration
-    on V(x) - E to a residual below 1e-13 * max(1, |E|).
+    on V(x) - E to a residual below 1e-13 * max(1, |E|).  A real energy
+    gets exactly real roots below the barrier top (0 < E < E_top) and
+    otherwise one real root and an exact conjugate pair.
 
     Parameters
     ----------
@@ -232,7 +255,8 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     CoincidentRoots
         If two roots lie closer than 1e-8, i.e. the energy sits at or
         near the barrier top and the turning-point labels x1 < x2 < x3
-        stop being meaningful.
+        stop being meaningful, or if a real energy is exactly 0 or the
+        barrier top.
     """
     g = model.g
     E = complex(energy)
@@ -276,7 +300,10 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     r1 = _newton_polish(model, rb, E, scale)
     r2 = _newton_polish(model, rc, E, scale)
 
-    roots = sorted((r0, r1, r2), key=lambda z: (z.real, z.imag))
+    roots = (r0, r1, r2)
+    if E.imag == 0.0:
+        roots = _real_energy_roots(model, E.real, roots, scale)
+    roots = sorted(roots, key=lambda z: (z.real, z.imag))
     gap = min(
         abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])
     )

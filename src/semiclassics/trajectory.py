@@ -85,7 +85,9 @@ DRIFT_FAILURE_LIMIT = 1e-6
 _SHELL_TOL = 1e-10
 
 # A period whose imaginary part is below this many rounding units of |T|
-# is real: the orbit repeats and never reaches a row of poles.
+# is real: the orbit repeats and never reaches a row of poles.  A real
+# energy gets an exactly real T; this catches complex energies whose
+# Im T is at rounding level.
 _REAL_PERIOD_TOL = 32 * sys.float_info.epsilon
 
 # Most samples one trajectory may hold: 16 MB per complex column.  The
@@ -448,8 +450,9 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     first row of poles and the horizon, are bisected, since from the
     first row that reaches Re x3 on every row does.  Each try walks to
     -i n Im T and marches one period with the whole-step root search.  A
-    period whose imaginary part is at rounding level (a real energy)
-    makes the orbit periodic, so row 0 alone decides.
+    real period (that of a real energy below the barrier top, or one
+    whose imaginary part is at rounding level) makes the orbit
+    periodic, so row 0 alone decides.
 
     Raises
     ------

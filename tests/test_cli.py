@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -424,6 +425,41 @@ def test_hostile_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     assert out == ""
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
+    # usage errors and --help between valid runs leave the one parser as
+    # it was: reruns give the same bytes and exit codes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "orbit.json").write_text(json.dumps(LINEAR_ORBIT), encoding="utf-8")
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    _build_parser.cache_clear()
+    valid = [
+        ["table1", "--g", "0.17888", "--format", "csv"],
+        ["gutzwiller", "poles", "--orbit", "orbit.json"],
+        ["trajectory", "--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1",
+         "--out", "traj.csv"],
+    ]
+
+    def outcomes():
+        return [run(capsys, *argv)[:2] for argv in valid], (tmp_path / "traj.csv").read_bytes()
+
+    first = outcomes()
+    built = len(constructed)
+    assert built > 0 and [code for code, _ in first[0]] == [0, 0, 0]
+    assert run(capsys, *HOSTILE_ARGV[0])[0] == 2
+    code, help_text, _ = run(capsys, "gutzwiller", "poles", "--help")
+    assert code == 0 and "--k-max" in help_text
+    assert outcomes() == first
+    assert len(constructed) == built
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.parametrize("command", ["tau", "table1", "turning-points", "crossing-time"])

@@ -236,12 +236,11 @@ class TestTurningPoints:
             assert all(abs(x.imag) < 0.2 for x in tps)
 
     def test_barrier_top_is_coincident(self):
-        # Degeneracy in E-space is below one ulp unless |E| is small, so
-        # the barrier-top energy only collapses the root pair within the
-        # 1e-8 threshold for couplings where E_top is small.
-        g = 0.5
-        with pytest.raises(CoincidentRoots):
-            turning_points(CubicModel(g), complex(1.0 / (54.0 * g * g)))
+        # a real energy at the barrier top has a zero discriminant (a double
+        # root), whatever gap the closed form leaves
+        for g in (0.05, 0.1, 0.17888, 0.5):
+            with pytest.raises(CoincidentRoots, match="barrier top"):
+                turning_points(CubicModel(g), complex(CubicModel(g).barrier_height))
 
     def test_slightly_off_barrier_top_is_fine(self):
         g = 0.1
@@ -250,6 +249,28 @@ class TestTurningPoints:
         tps = turning_points(model, energy)
         for root in tps:
             assert abs(model.potential(root) - energy) <= 1e-12 * max(1.0, abs(energy))
+
+    @pytest.mark.parametrize("g", [0.05, 0.1, 0.17888, 0.5])
+    def test_real_energy_roots_are_real_or_a_conjugate_pair(self, g):
+        # the discriminant 27 E (E_top - E) / g**2 decides: three real roots
+        # for 0 < E < E_top, else one real root and an exact conjugate pair
+        model = CubicModel(g)
+        top = model.barrier_height
+        near = [top * (1.0 + s * 10.0**-k) for s in (-1.0, 1.0) for k in (2, 6, 9, 12)]
+        for energy in [0.3 * top, 0.9 * top, 1e-9, 2.0 * top, -1e-9, -0.4, *near]:
+            tps = turning_points(model, complex(energy))
+            x1, x2, x3 = tps
+            if 0.0 < energy < top:
+                assert x1.imag == x2.imag == x3.imag == 0.0
+                assert x1.real < x2.real < x3.real
+            else:
+                real, (lower, upper) = (x1, (x2, x3)) if energy > top else (x3, (x1, x2))
+                assert real.imag == 0.0
+                assert lower == upper.conjugate() and upper.imag > 0.0
+            for ours, ref in zip(tps, companion_roots(g, energy)):
+                assert abs(ours - ref) <= 1e-6 * max(1.0, abs(ref))
+            for root in tps:
+                assert abs(model.potential(root) - energy) <= 1e-12 * max(1.0, abs(energy))
 
     def test_zero_energy_is_coincident(self):
         # V(x) = 0 has a double root at the origin.

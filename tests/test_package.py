@@ -68,3 +68,25 @@ def test_cli_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    # the argparse tree is built on the first main call, not at import
+    root = os.path.dirname(os.path.dirname(semiclassics.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(type(self))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import semiclassics.cli\n"
+        "print(len(built))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.strip() == "0"

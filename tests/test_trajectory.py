@@ -459,6 +459,20 @@ class TestLatticeReduction:
         # the orbit is periodic: one period decides
         assert steps[0] <= 100
 
+    @pytest.mark.parametrize("below_top", [1e-9, 1e-12])
+    def test_real_energy_near_the_barrier_top(self, monkeypatch, below_top):
+        # exactly real roots give an exactly real period however close the
+        # energy is to the top, so one period decides (a period with a
+        # rounding-level imaginary part took ~600 steps here)
+        model = CubicModel(0.1)
+        energy = complex(1.0 / (54.0 * 0.01) - below_top)
+        tps = turning_points(model, energy)
+        assert _periods(model, tps)[0].imag == 0.0
+        steps = count_steps(monkeypatch)
+        with pytest.raises(NoCrossing, match="never reached"):
+            crossing_time(model, energy, tps.x1, 0j)
+        assert steps[0] <= 40
+
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
         model, energy, x1 = default_start(0.1)
@@ -486,12 +500,12 @@ class TestLatticeReduction:
         tps = turning_points(model, energy)
         T = _periods(model, tps)[0]
         assert abs(T - (6.74418274576788 - 0.00117264782667j)) <= 1e-13
-        # a real energy below the barrier: the oscillation period, real to
-        # rounding
+        # a real energy below the barrier: the oscillation period, exactly
+        # real
         model = CubicModel(0.1)
         T = _periods(model, turning_points(model, 0.3 + 0j))[0]
         assert T.real == pytest.approx(quadrature_period(0.1, 0.3), rel=1e-12)
-        assert abs(T.imag) <= trajectory._REAL_PERIOD_TOL * abs(T)
+        assert T.imag == 0.0
 
     @pytest.mark.parametrize(
         "g, energy",
