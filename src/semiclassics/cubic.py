@@ -8,8 +8,8 @@ complex energy with Im E = -1/(2 tau).
 
 The orbits at energy E are elliptic functions of complex time.  Their
 period lattice comes from Gauss's arithmetic-geometric mean and their
-poles from a quadrature of dx/p here (private helpers of the crossing
-search).
+poles from Carlson's symmetric integral R_F here (private helpers of the
+crossing search).
 
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
@@ -20,8 +20,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import ClassVar
-
-import numpy as np
 
 from .errors import CoincidentRoots, DegenerateCubic
 
@@ -47,10 +45,6 @@ _DEGENERACY_THRESHOLD = 1e-8
 
 _POLISH_TOL = 1e-13
 _RESIDUAL_TOL = 1e-12
-
-# Gauss-Legendre nodes of a start's time to its nearest turning point.
-# It only places the first row of poles, which no search comes near.
-_POLE_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -355,34 +349,42 @@ def _periods(model: CubicModel, tps: TurningPoints) -> tuple[complex, complex]:
     return (-T if T.real < 0.0 else T), _cut_period(model.g, tps.x2, tps.x3, tps.x1)
 
 
-def _pole_time(
-    tps: TurningPoints, periods: tuple[complex, complex], x0: complex, p0: complex
-) -> complex:
+def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's R_F(x, y, z), the integral (1/2) int_0^inf dt /
+    sqrt((t + x)(t + y)(t + z)) with principal square roots.
+
+    Duplication (DLMF 19.26.18) draws the arguments together by a factor
+    4 a step, down to a relative spread of 1/400, and the fifth-order
+    series of DLMF 19.36.1 ends it there with a truncation error below
+    1e-16 (Carlson, Numer. Algorithms 10 (1995) 13).  At most one
+    argument may be 0.
+    """
+    while True:
+        mu = (x + y + z) / 3.0
+        if max(abs(mu - x), abs(mu - y), abs(mu - z)) < 0.0025 * abs(mu):
+            break
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    dx, dy = 1.0 - x / mu, 1.0 - y / mu
+    dz = -(dx + dy)
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / cmath.sqrt(mu)
+
+
+def _pole_time(model: CubicModel, tps: TurningPoints, x0: complex, p0: complex) -> complex:
     """A complex time at which the orbit through (x0, p0) has a pole.
 
-    The result is exact modulo the period lattice.  The orbit that starts
-    at rest at a turning point is even in t and reaches infinity after a
-    half period: T'/2 from x1, (T + T')/2 from x2 and T/2 from x3.  Any
-    other start reaches its nearest turning point xr at the complex time
-    t_r = the integral of dx/p from x0 to xr, with p continued from p0.
-    The substitution x = xr + (x0 - xr) v**2 removes the square-root
-    singularity at xr, and Gauss-Legendre quadrature takes the smooth
-    rest; the nearest root keeps the other two roots at least half their
-    distance to xr away from the path.
+    The orbit is x(t) = 2 P(t - t0) / g + 1 / (6 g), with P Weierstrass's
+    function of roots e_j = g x_j / 2 - 1/12, so P(-t0) - e_j = d_j =
+    g (x0 - x_j) / 2 and, by DLMF 19.25(vi), -t0 = +-R_F(d_1, d_2, d_3).
+    R_F's own branch has P' = -2 sqrt(d_1) sqrt(d_2) sqrt(d_3), and the
+    sign is the one that makes it g p0 / 2.  The result is exact modulo
+    the period lattice.
     """
-    T, T_prime = periods
-    roots = tuple(tps)
-    r = min(range(3), key=lambda i: abs(x0 - roots[i]))
-    half = (0.5 * T_prime, 0.5 * (T + T_prime), 0.5 * T)[r]
-    if p0 == 0:
-        return half
-    xr = roots[r]
-    xa, xb = (roots[i] for i in range(3) if i != r)
-    v, w = np.polynomial.legendre.leggauss(_POLE_NODES)
-    v = 0.5 * (v + 1.0)
-    x = xr + (x0 - xr) * v * v
-    # p = v q(v) with q continuous along the path and q(1) = p0: each
-    # ratio below is 1 - t (x0 - xr)/(x0 - xa) with |(x0 - xr)/(x0 - xa)|
-    # <= 1, so it stays off the principal square root's cut
-    q = p0 * np.sqrt((x - xa) / (x0 - xa)) * np.sqrt((x - xb) / (x0 - xb))
-    return half - complex((x0 - xr) * np.sum(w / q))
+    d = [0.5 * model.g * (x0 - x) for x in tps]
+    branch = 2.0 * cmath.sqrt(d[0]) * cmath.sqrt(d[1]) * cmath.sqrt(d[2])
+    slope = 0.5 * model.g * p0
+    rf = _carlson_rf(*d)
+    return -rf if abs(slope + branch) <= abs(slope - branch) else rf

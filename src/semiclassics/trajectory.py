@@ -50,6 +50,7 @@ sequences on one platform.
 
 import bisect
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -447,12 +448,14 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     t_c = n Re T + s for the first row n (see the module docstring) on
     which Re x reaches Re x3 at some s in [0, Re T).  Row 0, the first
     period of real time, is tried first; the rows above it, up to the
-    first row of poles and the horizon, are bisected, since from the
-    first row that reaches Re x3 on every row does.  Each try walks to
-    -i n Im T and marches one period with the whole-step root search.  A
-    real period (that of a real energy below the barrier top, or one
-    whose imaginary part is at rounding level) makes the orbit
-    periodic, so row 0 alone decides.
+    first row of poles (from ``cubic._pole_time``) and the horizon, are
+    bisected, since from the first row that reaches Re x3 on every row
+    does.  Each try walks to -i n Im T and marches one period with the
+    whole-step root search.  A real period (that of a real energy below
+    the barrier top, or one whose imaginary part is at rounding level)
+    makes the orbit periodic, so row 0 alone decides.  A real start at a
+    real energy below the barrier top moves on the real axis between x1
+    and x2, so it never crosses and no step is taken.
 
     Raises
     ------
@@ -464,36 +467,27 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     target = tps.x3.real
     if x0.real >= target:
         return 0.0
+    missed = f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
+    if all(z.imag == 0.0 for z in (E, x0, p0, *tps)):
+        raise NoCrossing(missed)
     periods = _periods(model, tps)
     T = periods[0]
     if abs(T.imag) <= _REAL_PERIOD_TOL * abs(T):
         below_poles = 1
     else:
-        below_poles = _rows_below_poles(periods, _pole_time(tps, periods, x0, p0))
+        below_poles = _rows_below_poles(periods, _pole_time(model, tps, x0, p0))
     rows = min(math.ceil(cfg.t_max / T.real), below_poles)
 
+    @functools.cache
     def reach(n):
         return _reach_on_row(model, E, x0, p0, T, n, target, cfg)
 
-    n, s = 0, reach(0)
-    if s is None and rows > 1:
-        # reach(lo) is None; n is the lowest row that may reach, tried
-        # last only if every row below it fails
-        lo, n = 0, rows - 1
-        while n - lo > 1:
-            mid = (lo + n) // 2
-            s_mid = reach(mid)
-            if s_mid is None:
-                lo = mid
-            else:
-                n, s = mid, s_mid
-        if s is None:
-            s = reach(n)
-    if s is None or n * T.real + s > cfg.t_max:
-        raise NoCrossing(
-            f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
-        )
-    return n * T.real + s
+    n = 0
+    if reach(0) is None:
+        n = bisect.bisect_left(range(rows), True, lo=1, key=lambda row: reach(row) is not None)
+    if n >= rows or n * T.real + reach(n) > cfg.t_max:
+        raise NoCrossing(missed)
+    return n * T.real + reach(n)
 
 
 def reversibility_error(

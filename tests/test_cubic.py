@@ -14,6 +14,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
+from semiclassics.cubic import _carlson_rf
 
 TABLE_G = (0.12522, 0.14311, 0.16099, 0.17888)
 
@@ -280,3 +281,44 @@ class TestTurningPoints:
     def test_nonfinite_energy_rejected(self):
         with pytest.raises(ValueError):
             turning_points(CubicModel(0.1), complex(float("inf"), 0.0))
+
+
+def mpmath_rf(x, y, z):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return complex(mp.elliprf(*(mp.mpc(a.real, a.imag) for a in (x, y, z))))
+
+
+class TestCarlsonRF:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 2.0, 3.0),
+            (0.5 + 1j, 2 - 0.3j, -1 + 0.2j),
+            (-210.4 - 49.5j, 31197.0 + 28963.3j, -0.0207 - 0.0082j),
+            (0.0, 1 + 1j, 2 - 1j),
+            (0.0, 1.0, 1e-10),
+            (0.0, -3 + 1e-3j, 4 - 2j),
+            (1e-12, 1.0, 1e12),
+            (1e-8 + 1e-8j, 3e6 - 1e6j, 0.5),
+            (1e150 + 2e150j, 3e150, 1e149 - 1e150j),
+            (1e-150 + 2e-150j, 3e-150, 1e-151 - 1e-150j),
+        ],
+    )
+    def test_matches_mpmath(self, args):
+        args = tuple(complex(a) for a in args)
+        reference = mpmath_rf(*args)
+        assert abs(_carlson_rf(*args) - reference) <= 1e-15 * abs(reference)
+
+    def test_matches_mpmath_on_random_arguments(self):
+        # complex arguments scaled from 1e-8 to 1e8, off the negative real
+        # axis, a third of them with one argument 0
+        rng = np.random.default_rng(12)
+        for i in range(120):
+            z = rng.standard_normal((3, 2)) @ [1.0, 1j] * 10.0 ** rng.uniform(-8, 8, 3)
+            args = (0j, *z[1:]) if i % 3 == 0 else tuple(z)
+            args = tuple(complex(a) for a in args)
+            reference = mpmath_rf(*args)
+            assert abs(_carlson_rf(*args) - reference) <= 1e-15 * abs(reference)
+

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -55,6 +56,21 @@ def test_every_export_resolves_to_its_module_object():
         value = getattr(semiclassics, name)
         module = value.__module__.rsplit(".", 1)[-1]
         assert getattr(getattr(semiclassics, module), name) is value
+
+
+def test_cubic_imports_neither_numpy_nor_scipy():
+    # the closed forms of the cubic (roots, periods, pole times) need only
+    # math and cmath
+    with open(semiclassics.cubic.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "math" in imported
+    assert not imported & {"numpy", "scipy"}
 
 
 def test_cli_import_leaves_scipy_out():

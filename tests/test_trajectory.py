@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from semiclassics import trajectory
-from semiclassics.cli import main as cli_main
+from semiclassics.cli import compute_table1, main as cli_main
 from semiclassics.cubic import _periods, _pole_time
 from semiclassics import (
     CubicModel,
@@ -55,6 +55,36 @@ def trapezoid_period(g, a, b, c, nodes=4096):
     x = m + d * np.cos(2.0 * np.pi * np.arange(nodes) / nodes)
     root = np.sqrt(c - x) if c.real > m.real else 1j * np.sqrt(x - c)
     return complex(2.0 * np.pi * np.mean(1.0 / root) / math.sqrt(2.0 * g))
+
+
+def quadrature_pole_time(tps, periods, x0, p0, nodes=32):
+    """Pole-time oracle, exact modulo the lattice: a start at rest at a
+    turning point reaches a pole after a half period, T'/2 from x1,
+    (T + T')/2 from x2 and T/2 from x3; any other start first reaches its
+    nearest turning point xr at the time int dx/p from x0 to xr, taken by
+    Gauss-Legendre quadrature after x = xr + (x0 - xr) v**2 removes the
+    square-root singularity at xr."""
+    T, T_prime = periods
+    roots = tuple(tps)
+    r = min(range(3), key=lambda i: abs(x0 - roots[i]))
+    half = (0.5 * T_prime, 0.5 * (T + T_prime), 0.5 * T)[r]
+    if p0 == 0:
+        return half
+    xr = roots[r]
+    xa, xb = (roots[i] for i in range(3) if i != r)
+    v, w = np.polynomial.legendre.leggauss(nodes)
+    v = 0.5 * (v + 1.0)
+    x = xr + (x0 - xr) * v * v
+    # p = v q(v) with q continuous along the path and q(1) = p0
+    q = p0 * np.sqrt((x - xa) / (x0 - xa)) * np.sqrt((x - xb) / (x0 - xb))
+    return half - complex((x0 - xr) * np.sum(w / q))
+
+
+def lattice_coordinates(z, periods):
+    """Real (a, b) with z = a T + b T'."""
+    T, T_prime = periods
+    span = (T_prime * T.conjugate()).imag
+    return (T_prime * z.conjugate()).imag / span, (z * T.conjugate()).imag / span
 
 
 def march_crossing_time(model, energy, x0, p0, t_max=2e5):
@@ -463,15 +493,58 @@ class TestLatticeReduction:
     def test_real_energy_near_the_barrier_top(self, monkeypatch, below_top):
         # exactly real roots give an exactly real period however close the
         # energy is to the top, so one period decides (a period with a
-        # rounding-level imaginary part took ~600 steps here)
+        # rounding-level imaginary part took ~600 steps here); the start
+        # is off the real axis, where the orbit is not confined to x1-x2
         model = CubicModel(0.1)
         energy = complex(1.0 / (54.0 * 0.01) - below_top)
         tps = turning_points(model, energy)
         assert _periods(model, tps)[0].imag == 0.0
+        x0 = tps.x1 + 1e-3j
         steps = count_steps(monkeypatch)
         with pytest.raises(NoCrossing, match="never reached"):
-            crossing_time(model, energy, tps.x1, 0j)
+            crossing_time(model, energy, x0, initial_momentum(model, energy, x0))
         assert steps[0] <= 40
+
+    @pytest.mark.parametrize("below_top", [1e-13, 1e-14, 1e-15, 1.5])
+    def test_real_start_below_the_top_never_crosses(self, monkeypatch, below_top):
+        # x3 - x2 is below the stepper's position error near the saddle,
+        # where a marched period once reported a crossing (t_c = 18.6 at
+        # 1e-14 below the top); a real start at a real energy below the
+        # top stays on the real axis between x1 and x2, so no step is taken
+        model = CubicModel(0.1)
+        energy = complex(1.0 / (54.0 * 0.01) - below_top)
+        tps = turning_points(model, energy)
+        middle = complex(0.5 * (tps.x1.real + tps.x2.real))
+        starts = [(tps.x1, 0j)]
+        starts += [(middle, initial_momentum(model, energy, middle, b)) for b in (1, -1)]
+        steps = count_steps(monkeypatch)
+        for x0, p0 in starts:
+            assert p0.imag == 0.0
+            with pytest.raises(NoCrossing, match="never reached"):
+                crossing_time(model, energy, x0, p0)
+        assert steps[0] == 0
+
+    def test_real_start_above_the_top_crosses(self):
+        # above the top the real orbit from x1 escapes over the barrier
+        model = CubicModel(0.1)
+        t_c = crossing_time(model, 2.5 + 0j, turning_points(model, 2.5 + 0j).x1, 0j)
+        assert t_c == pytest.approx(3.4201096417433727, rel=1e-12)
+
+    def test_table1_work_count(self, monkeypatch):
+        # the table's four crossings: 1,082 Taylor steps and 33 row tries
+        # before the pole line came from a closed form
+        steps = count_steps(monkeypatch)
+        rows = [0]
+        reach = trajectory._reach_on_row
+
+        def counting(*args):
+            rows[0] += 1
+            return reach(*args)
+
+        monkeypatch.setattr(trajectory, "_reach_on_row", counting)
+        compute_table1()
+        assert steps[0] <= 1082
+        assert rows[0] <= 33
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
@@ -533,6 +606,28 @@ class TestLatticeReduction:
         with pytest.raises(NoCrossing, match="never reached"):
             crossing_time(model, energy, tps.x1, 0j)
 
+    @pytest.mark.parametrize(
+        "g, energy",
+        [(0.17888, None), (0.16099, None), (0.14311, None), (0.12522, None),
+         (0.1, 0.3 + 0j), (0.1, 2.5 + 0j), (0.2, 0.3 + 0.1j)],
+    )
+    def test_pole_time_matches_the_quadrature(self, g, energy):
+        # rest at each turning point, and explicit starts on both branches;
+        # at a real energy the real starts give negative real d_j with
+        # +0.0 or -0.0 imaginary parts, on R_F's cut
+        model = CubicModel(g)
+        energy = energy or corrected_quasi_bound_energy(g).energy
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        starts = [(x, 0j) for x in tps]
+        for x0 in (0.1, complex(0.1, -0.0), -1.0, 2.5, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j,
+                   0.5 * (tps.x1 + tps.x2)):
+            starts += [(complex(x0), initial_momentum(model, energy, x0, b)) for b in (1, -1)]
+        for x0, p0 in starts:
+            miss = _pole_time(model, tps, x0, p0) - quadrature_pole_time(tps, periods, x0, p0)
+            for c in lattice_coordinates(miss, periods):
+                assert abs(c - round(c)) <= 1e-10
+
     @pytest.mark.parametrize("x0", [None, 0.1, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j])
     @pytest.mark.parametrize("branch", [1, -1])
     def test_pole_time(self, x0, branch):
@@ -541,7 +636,7 @@ class TestLatticeReduction:
         x0 = x1 if x0 is None else complex(x0)
         p0 = initial_momentum(model, energy, x0, branch)
         tps = turning_points(model, energy)
-        pole = _pole_time(tps, _periods(model, tps), x0, p0)
+        pole = _pole_time(model, tps, x0, p0)
         for distance in (1.0, 0.5):
             z = pole * (1.0 - distance / abs(pole))
             x, _p = trajectory._walk(model, energy, x0, p0, z, IntegratorConfig())
