@@ -6,6 +6,13 @@ x = 1/(3 g), and falls off to -infinity beyond it, so its ground state
 is quasi-bound: it decays with lifetime tau and is represented by a
 complex energy with Im E = -1/(2 tau).
 
+The turning points, the roots of V(x) = E, come from one cubic: about
+either critical point of V the equation reads v**3 + v**2 + k = 0
+(DLMF 1.11(iii)), solved for its isolated root by Newton's method and
+for the other two by the quadratic that Vieta's relations leave.  For a
+real energy the sign of k decides the roots: three real ones for k < 0,
+a real root and a conjugate pair for k > 0.
+
 The orbits at energy E are elliptic functions of complex time.  Their
 period lattice comes from Gauss's arithmetic-geometric mean and their
 poles from Carlson's symmetric integral R_F here (private helpers of the
@@ -39,11 +46,12 @@ __all__ = [
 # exp(2 / (15 g**2)) overflows.
 _LIFETIME_G_MIN = math.sqrt(2.0 / (15.0 * math.log(sys.float_info.max)))
 
-# Roots closer than this are treated as coincident (energy at/near the
-# barrier top) rather than returned as garbage.
+# Roots closer than this are treated as coincident (energy at or near the
+# bottom of the well or the barrier top) rather than returned as garbage.
 _DEGENERACY_THRESHOLD = 1e-8
 
-_POLISH_TOL = 1e-13
+# A root's residual |V(x) - E| may be at most this fraction of the size
+# |E| + |x**2/2| + g |x|**3 of the terms that cancel in it.
 _RESIDUAL_TOL = 1e-12
 
 
@@ -186,50 +194,38 @@ class TurningPoints:
         yield from (self.x1, self.x2, self.x3)
 
 
-def _newton_polish(model: CubicModel, x: complex, energy: complex, scale: float) -> complex:
-    # Newton on f = V(x) - E; the closed-form start is already close,
-    # so a handful of steps reaches the residual target.
-    for _ in range(30):
-        f = model.potential(x) - energy
-        if abs(f) <= _POLISH_TOL * scale:
-            break
-        fp = x - 3.0 * model.g * x * x
-        if fp == 0:
-            break
-        x = x - f / fp
-    return x
+def _isolated_root(k: complex) -> complex:
+    """The root of v**3 + v**2 + k = 0 away from the pair that meets at k = 0.
 
-
-def _real_energy_roots(model: CubicModel, energy: float, roots, scale: float):
-    """The roots of a real energy with the structure its discriminant gives.
-
-    The closed form leaves rounding-level imaginary parts on roots that
-    are real.  The discriminant of V(x) = E is 27 E (E_top - E) / g**2,
-    with no cancellation in that form: for 0 < E < E_top the three roots
-    are real, and the real parts are polished in real arithmetic; outside
-    that range one root is real and the other two are an exact conjugate
-    pair.
+    Newton's method from the series start -1 - k (|k| <= 1) or from
+    -k**(1/3), the large-k asymptote, until the steps stop shrinking.  For
+    Re k >= -2/27 this root stays at least 1/sqrt(3) (its distance at
+    k = -2/27) away from the other two, which meet only at k = 0 and
+    k = -4/27, so it is well conditioned.
     """
-    height = model.barrier_height
-    if energy == 0.0 or energy == height:
-        where = "barrier top" if energy else "bottom of the well"
-        raise CoincidentRoots(f"double turning point: E = {energy!r} is at the {where}")
-    if 0.0 < energy < height:
-        return [complex(_newton_polish(model, r.real, energy, scale)) for r in roots]
-    real, *pair = sorted(roots, key=lambda z: abs(z.imag))
-    upper = max(pair, key=lambda z: z.imag)
-    return [complex(_newton_polish(model, real.real, energy, scale)), upper, upper.conjugate()]
+    v = -1.0 - k if abs(k) <= 1.0 else -(k ** (1.0 / 3.0))
+    last = math.inf
+    while True:
+        step = (v * v * (v + 1.0) + k) / (v * (3.0 * v + 2.0))
+        if not abs(step) < last:
+            return v
+        v, last = v - step, abs(step)
 
 
 def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     """Solve V(x) = E for the three complex turning points.
 
-    The monic form x**3 - x**2/(2g) + E/g = 0 is solved in closed form
-    (Cardano with the cancellation-avoiding branch, then deflation to a
-    stable quadratic), and every root is polished by Newton iteration
-    on V(x) - E to a residual below 1e-13 * max(1, |E|).  A real energy
-    gets exactly real roots below the barrier top (0 < E < E_top) and
-    otherwise one real root and an exact conjugate pair.
+    About either critical point V(x) = E is the cubic v**3 + v**2 + k = 0:
+    about the well bottom with x = -v/(2g) and k = -8 g**2 E, about the
+    barrier top with x = 1/(3g) + v/(2g) and k = 8 g**2 E - 4/27.  The
+    nearer point is used (the bottom for Re E <= E_top/2), so Re k >=
+    -2/27, and near the top Re k is formed from the exact integer ratios
+    of g and E with one rounding.  The isolated root v1 comes from Newton's
+    method (see ``_isolated_root``); the cubic has no linear term, so the
+    other two solve v**2 - (k/v1**2) v - k/v1 = 0 and are (s +- d)/2 with
+    no cancellation.  A real energy stays in real arithmetic, so its roots
+    are exactly real (k < 0: 0 < E < E_top) or one real root and an exact
+    conjugate pair (k > 0).
 
     Parameters
     ----------
@@ -248,69 +244,52 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     ------
     CoincidentRoots
         If two roots lie closer than 1e-8, i.e. the energy sits at or
-        near the barrier top and the turning-point labels x1 < x2 < x3
-        stop being meaningful, or if a real energy is exactly 0 or the
-        barrier top.
+        near the bottom of the well or the barrier top and the
+        turning-point labels x1 < x2 < x3 stop being meaningful, or if a
+        real energy is exactly 0 or the barrier top.
+    ArithmeticError
+        If a root misses V(x) = E by more than 1e-12 of the size
+        |E| + |x**2/2| + g |x|**3 of its terms, or the arithmetic
+        overflows (g**2 |E| near the float limit).
     """
     g = model.g
     E = complex(energy)
     if not (math.isfinite(E.real) and math.isfinite(E.imag)):
         raise ValueError(f"energy must be finite, got {energy!r}")
-    scale = max(1.0, abs(E))
+    bottom = E.real <= 0.5 * model.barrier_height
+    where = "bottom of the well" if bottom else "barrier top"
+    if E == 0.0 or E == model.barrier_height:
+        raise CoincidentRoots(f"double turning point: E = {energy!r} is at the {where}")
 
-    # Monic cubic x**3 + a2 x**2 + a1 x + a0, then depressed t**3 + p t + q
-    # with x = t - a2/3.
-    a2 = -0.5 / g
-    a0 = E / g
-    shift = -a2 / 3.0
-    p = -(a2 * a2) / 3.0
-    q = 2.0 * a2 ** 3 / 27.0 + a0
+    # x = centre + v / unit; adding the real centre (0.0 at the bottom)
+    # also turns the -0.0 imaginary parts of a real energy into +0.0.
+    if bottom:
+        centre, unit = 0.0, -2.0 * g
+        k = -8.0 * g * g * E
+    else:
+        centre, unit = model.barrier_position, 2.0 * g
+        gn, gd = g.as_integer_ratio()
+        en, ed = E.real.as_integer_ratio()
+        k = complex((216 * gn * gn * en - 4 * gd * gd * ed) / (27 * gd * gd * ed),
+                    8.0 * g * g * E.imag)
+    v1 = _isolated_root(k)
+    s = k / (v1 * v1)
+    d = cmath.sqrt(s * s + 4.0 * k / v1)
+    roots = sorted((centre + v / unit for v in (v1, 0.5 * (s + d), 0.5 * (s - d))),
+                   key=lambda z: (z.real, z.imag))
 
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    sq = cmath.sqrt(disc)
-    u3 = -q / 2.0 + sq
-    alt = -q / 2.0 - sq
-    if abs(alt) > abs(u3):
-        u3 = alt
-    if u3 == 0:
-        # p = q = 0: exact triple root.
-        raise CoincidentRoots(
-            f"triple turning point at x = {shift!r} for E = {E!r}"
-        )
-    u = u3 ** (1.0 / 3.0)
-    r0 = _newton_polish(model, (u - p / (3.0 * u)) + shift, E, scale)
-
-    # Deflate by the polished root and solve the remaining quadratic
-    # x**2 + b x + c with the constructive-sign branch.  c is the
-    # product of the two remaining roots (r0*r1*r2 = -a0; the linear
-    # coefficient of the monic cubic is identically zero here).
-    b = a2 + r0
-    c = a0 / (-r0) if r0 != 0 else 0.0
-    s = cmath.sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * s).real < 0.0:
-        s = -s
-    rb = (-b - s) / 2.0
-    rc = c / rb if rb != 0 else (-b + s) / 2.0
-    r1 = _newton_polish(model, rb, E, scale)
-    r2 = _newton_polish(model, rc, E, scale)
-
-    roots = (r0, r1, r2)
-    if E.imag == 0.0:
-        roots = _real_energy_roots(model, E.real, roots, scale)
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
     gap = min(
         abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])
     )
     if gap < _DEGENERACY_THRESHOLD:
         raise CoincidentRoots(
             f"turning points separated by only {gap:.3e} for E = {E!r}; "
-            "energy is at or near the barrier top"
+            f"energy is at or near the {where}"
         )
-    worst = max(abs(model.potential(r) - E) for r in roots)
-    if worst > _RESIDUAL_TOL * scale:
-        raise ArithmeticError(
-            f"turning-point polish stalled at residual {worst:.3e}"
-        )
+    for x in roots:
+        size = abs(E) + abs(0.5 * x * x) + g * abs(x) ** 3
+        if not abs(model.potential(x) - E) <= _RESIDUAL_TOL * size:
+            raise ArithmeticError(f"turning point {x!r} misses V(x) = E = {E!r}")
     return TurningPoints(*roots)
 
 

@@ -26,7 +26,8 @@ class DegenerateCubic(SemiclassicsError, ValueError):
 
 class CoincidentRoots(SemiclassicsError, ValueError):
     """Two turning points coincide to within the degeneracy threshold;
-    the energy sits at or near the barrier top."""
+    the energy sits at or near the bottom of the well or the barrier
+    top."""
 
 
 class StepSizeUnderflow(SemiclassicsError):

@@ -85,12 +85,6 @@ DRIFT_FAILURE_LIMIT = 1e-6
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
 
-# A period whose imaginary part is below this many rounding units of |T|
-# is real: the orbit repeats and never reaches a row of poles.  A real
-# energy gets an exactly real T; this catches complex energies whose
-# Im T is at rounding level.
-_REAL_PERIOD_TOL = 32 * sys.float_info.epsilon
-
 # Most samples one trajectory may hold: 16 MB per complex column.  The
 # longest crossing horizon, t ~ 1.5e4 at the default interval 0.05, needs
 # 3e5.
@@ -451,11 +445,11 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     first row of poles (from ``cubic._pole_time``) and the horizon, are
     bisected, since from the first row that reaches Re x3 on every row
     does.  Each try walks to -i n Im T and marches one period with the
-    whole-step root search.  A real period (that of a real energy below
-    the barrier top, or one whose imaginary part is at rounding level)
-    makes the orbit periodic, so row 0 alone decides.  A real start at a
-    real energy below the barrier top moves on the real axis between x1
-    and x2, so it never crosses and no step is taken.
+    whole-step root search.  A real period (Im T == 0.0 exactly, as for
+    every real energy below the barrier top) makes the orbit periodic, so
+    row 0 alone decides.  A real start at a real energy below the barrier
+    top moves on the real axis between x1 and x2, so it never crosses and
+    no step is taken.
 
     Raises
     ------
@@ -472,7 +466,7 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
         raise NoCrossing(missed)
     periods = _periods(model, tps)
     T = periods[0]
-    if abs(T.imag) <= _REAL_PERIOD_TOL * abs(T):
+    if T.imag == 0.0:
         below_poles = 1
     else:
         below_poles = _rows_below_poles(periods, _pole_time(model, tps, x0, p0))

@@ -112,17 +112,20 @@ class TestTau:
 
 class TestTurningPoints:
     def test_known_roots(self, capsys):
-        code, out, _ = run(
-            capsys, "turning-points", "--g", "0.1", "--energy", "re=0.5,im=0",
-            "--format", "csv",
-        )
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header == ["root", "re", "im"]
-        expected = turning_points(CubicModel(0.1), 0.5 + 0j)
-        for row, ref in zip(rows, expected):
-            assert float(row[1]) == pytest.approx(ref.real, abs=1e-12)
-            assert float(row[2]) == pytest.approx(ref.imag, abs=1e-12)
+        # g = 0.002, E = 1e-5: two roots 9e-3 apart near the origin and one
+        # near 250 (a Newton polish once stalled there)
+        for g, energy in ((0.1, 0.5), (0.002, 1e-5)):
+            code, out, _ = run(
+                capsys, "turning-points", "--g", str(g), "--energy", f"re={energy},im=0",
+                "--format", "csv",
+            )
+            assert code == 0
+            header, rows = read_csv(out)
+            assert header == ["root", "re", "im"]
+            expected = turning_points(CubicModel(g), complex(energy))
+            for row, ref in zip(rows, expected):
+                assert float(row[1]) == pytest.approx(ref.real, abs=1e-12)
+                assert float(row[2]) == pytest.approx(ref.imag, abs=1e-12)
 
     def test_barrier_top_energy_fails_cleanly(self, capsys):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
-from semiclassics.cubic import _carlson_rf
+from semiclassics.cubic import _carlson_rf, _periods
 
 TABLE_G = (0.12522, 0.14311, 0.16099, 0.17888)
 
@@ -24,6 +25,41 @@ def companion_roots(g, energy):
     matrix of V(x) - E (np.roots), sorted the same way."""
     roots = np.roots([-g, 0.5, 0.0, -energy])
     return sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+
+
+def mpmath_roots(g, energy):
+    """The roots of V(x) = E to 40 digits (``mp.polyroots``), sorted by real
+    part: an oracle independent of the package's solver."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        roots = mp.polyroots(
+            [-mp.mpf(g), mp.mpf(0.5), 0, -mp.mpc(energy.real, energy.imag)],
+            maxsteps=200, extraprec=200,
+        )
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+def mpmath_period(g, energy):
+    """The period T around the cut x1-x2 from the 40-digit roots:
+    2 pi / (sqrt(2g) M), M the AGM of sqrt(x3 - x1) and sqrt(x3 - x2)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x1, x2, x3 = mpmath_roots(g, energy)
+        agm = mp.agm(mp.sqrt(x3 - x1), mp.sqrt(x3 - x2))
+        return complex(2 * mp.pi / (mp.sqrt(2 * mp.mpf(g)) * agm))
+
+
+# Energies near the separatrix at g = 0.1: 1e-6 to 1e-9 below the barrier
+# top, with small negative imaginary parts.
+SEPARATRIX_G = 0.1
+SEPARATRIX_ENERGIES = [
+    complex(1.0 / 54e-2 - 1e-6, -1e-6),
+    complex(1.8518518508, -1e-10),
+    complex(1.0 / 54e-2 - 1e-8, -1e-10),
+    complex(1.0 / 54e-2 - 1e-9, -1e-12),
+]
 
 
 class TestPotentialAndForce:
@@ -273,10 +309,44 @@ class TestTurningPoints:
             for root in tps:
                 assert abs(model.potential(root) - energy) <= 1e-12 * max(1.0, abs(energy))
 
+    @pytest.mark.parametrize("g", [*TABLE_G, SEPARATRIX_G])
+    def test_structure_within_ulps_of_the_barrier_top(self, g):
+        # three real roots below the exact top 1/(54 g**2), a real root and
+        # an exact conjugate pair above it; only the float top itself or a
+        # gap below 1e-8 may raise
+        model = CubicModel(g)
+        top = 1 / (54 * Fraction(g) ** 2)
+        energy = model.barrier_height
+        for _ in range(4):
+            energy = math.nextafter(energy, 0.0)
+        for _ in range(9):
+            try:
+                x1, x2, x3 = turning_points(model, complex(energy))
+            except CoincidentRoots:
+                ref = mpmath_roots(g, complex(energy))
+                gap = min(abs(complex(b - a)) for a, b in zip(ref, ref[1:]))
+                assert energy == model.barrier_height or gap < 1e-8
+            else:
+                if Fraction(energy) < top:
+                    assert x1.imag == x2.imag == x3.imag == 0.0
+                    assert x1.real < x2.real < x3.real
+                else:
+                    assert x1.imag == 0.0
+                    assert x2 == x3.conjugate() and x3.imag > 0.0
+            energy = math.nextafter(energy, math.inf)
+
+    @pytest.mark.parametrize("energy", SEPARATRIX_ENERGIES)
+    def test_period_near_the_separatrix(self, energy):
+        model = CubicModel(SEPARATRIX_G)
+        T, _ = _periods(model, turning_points(model, energy))
+        reference = mpmath_period(SEPARATRIX_G, energy)
+        assert abs(T - reference) <= 1e-12 * abs(reference)
+
     def test_zero_energy_is_coincident(self):
-        # V(x) = 0 has a double root at the origin.
-        with pytest.raises(CoincidentRoots):
-            turning_points(CubicModel(0.1), 0j)
+        # V(x) = 0 has a double root at the origin, and the error names it
+        for energy in (0j, 1e-20 + 1e-20j):
+            with pytest.raises(CoincidentRoots, match="bottom of the well"):
+                turning_points(CubicModel(0.1), energy)
 
     def test_nonfinite_energy_rejected(self):
         with pytest.raises(ValueError):

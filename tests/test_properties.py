@@ -4,13 +4,21 @@ resummed response function."""
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiclassics import CubicModel, SemiclassicalContext, response_function, turning_points
+from semiclassics import (
+    CoincidentRoots,
+    CubicModel,
+    SemiclassicalContext,
+    response_function,
+    turning_points,
+)
 from semiclassics.cli import _build_parser, main
 from semiclassics.gutzwiller import OrbitModel
+from tests.test_cubic import mpmath_roots
 from tests.test_gutzwiller import double_sum_response, mpmath_response
 
 # Flag texts: arbitrary strings, and the renderings of floats and integers
@@ -134,6 +142,45 @@ def test_turning_points_vieta_and_residuals(g, re_e, im_e, sign):
     assert abs(x1 * x2 * x3 + energy / g) <= 1e-10 * max(1.0, abs(energy) / g)
     for root in (x1, x2, x3):
         assert abs(model.potential(root) - energy) <= 1e-12 * max(1.0, abs(energy))
+
+
+@st.composite
+def couplings_and_energies(draw):
+    """g log-uniform over [1e-3, 30]; Re E of either sign from 1e-12 to 1e8
+    or within 1e-2 to 1e-12 relative of the barrier top; Im E zero or of
+    either sign from 1e-12 to 1e8."""
+    g = 10.0 ** draw(st.floats(-3.0, math.log10(30.0)))
+    top = 1.0 / (54.0 * g * g)
+    sign = st.sampled_from([-1.0, 1.0])
+    decades = st.builds(lambda s, a: s * 10.0 ** a, sign, st.floats(-12.0, 8.0))
+    near_top = st.builds(lambda s, a: top * (1.0 + s * 10.0 ** a), sign, st.floats(-12.0, -2.0))
+    re_e = draw(st.one_of(decades, near_top))
+    im_e = draw(st.one_of(st.just(0.0), decades))
+    return g, complex(re_e, im_e)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=couplings_and_energies())
+def test_turning_points_match_mpmath(case):
+    g, energy = case
+    reference = [complex(r) for r in mpmath_roots(g, energy)]
+    try:
+        roots = list(turning_points(CubicModel(g), energy))
+    except CoincidentRoots:
+        gap = min(abs(a - b) for i, a in enumerate(reference) for b in reference[i + 1:])
+        assert energy == CubicModel(g).barrier_height or gap < 1e-8
+        return
+    for x in roots:
+        ref = min(reference, key=lambda r: abs(r - x))
+        assert abs(x - ref) <= 2e-15 * abs(ref)
+    if energy.imag == 0.0:
+        x1, x2, x3 = roots
+        if 0 < Fraction(energy.real) < 1 / (54 * Fraction(g) ** 2):
+            assert x1.imag == x2.imag == x3.imag == 0.0
+        else:
+            real, (lower, upper) = (x1, (x2, x3)) if energy.real > 0 else (x3, (x1, x2))
+            assert real.imag == 0.0
+            assert lower == upper.conjugate() and upper.imag > 0.0
 
 
 # Orbits drawn over the ranges of tests.test_gutzwiller.random_orbit: the

@@ -524,6 +524,19 @@ class TestLatticeReduction:
                 crossing_time(model, energy, x0, p0)
         assert steps[0] == 0
 
+    def test_near_real_energy_crosses_at_one_over_its_width(self):
+        # Im T follows Im E down to any size, so an orbit whose energy is
+        # only 1e-16 off the real axis still reaches the poles, a million
+        # times later than at 1e-10 (a rounding-level Im T once marked
+        # such a period real and the orbit as never crossing)
+        model = CubicModel(0.1)
+        cfg = IntegratorConfig(t_max=1e300)
+        times = []
+        for im in (-1e-10, -1e-16):
+            energy = complex(0.3, im)
+            times.append(crossing_time(model, energy, turning_points(model, energy).x1, 0j, cfg))
+        assert times[1] / times[0] == pytest.approx(1e6, rel=1e-9)
+
     def test_real_start_above_the_top_crosses(self):
         # above the top the real orbit from x1 escapes over the barrier
         model = CubicModel(0.1)
