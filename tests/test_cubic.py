@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +125,19 @@ class TestPotentialAndForce:
             CubicModel(-0.1)
         with pytest.raises(DegenerateCubic):
             CubicModel(float("nan"))
+
+    def test_coupling_floor(self):
+        # the smallest g whose far turning point, near 1/(2 g), cubes to a
+        # finite float; the barrier height is finite well below it
+        floor = 0.5 / sys.float_info.max ** (1.0 / 3.0)
+        assert floor == pytest.approx(8.859e-104, rel=1e-4)
+        with pytest.raises(DegenerateCubic, match="below 8.85927e-104"):
+            CubicModel(math.nextafter(floor, 0.0))
+        model = CubicModel(floor)
+        assert math.isfinite(model.barrier_height)
+        for energy in (1.0, -1.0, 0.3 - 0.1j, 1e3):
+            for x in turning_points(model, energy):
+                assert math.isfinite(abs(x) ** 3)
 
     def test_harmonic_model(self):
         h = HarmonicModel()

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -113,6 +114,50 @@ def per_sample_dense_output(model, energy, x0, p0, cfg):
             x[i], p[i] = trajectory._at(xs, grid[i] - t)
             i += 1
     return x, p
+
+
+def while_loop_steps(model, energy, x, p, t_end, cfg, direction=1.0):
+    """The stepper as it was before its recurrence was tabulated: the
+    Cauchy product walked by a ``while j < i`` loop, the exponents and the
+    drift limit recomputed on every step.  The tabulated ``_steps`` must
+    yield the same (t, h, xs) bit for bit."""
+    eps = max(trajectory._EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
+    order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
+    scale_floor = trajectory._EPS_PER_TOL * cfg.abs_tol / eps
+    g3 = 3.0 * model.g
+    inv = [direction * direction / ((k + 1) * (k + 2)) for k in range(order - 1)]
+    e2 = math.exp(2.0)
+    t = 0.0
+    while t < t_end:
+        xs = [x, direction * p]
+        for k in range(order - 1):
+            s = 0j
+            j, i = 0, k
+            while j < i:
+                s += xs[j] * xs[i]
+                j += 1
+                i -= 1
+            s += s
+            if j == i:
+                s += xs[j] * xs[j]
+            xs.append((g3 * s - xs[k]) * inv[k])
+
+        scale = max(abs(x), abs(p), scale_floor)
+        inv_rho = max(
+            (abs(xs[-2]) / scale) ** (1.0 / (order - 1)), (abs(xs[-1]) / scale) ** (1.0 / order)
+        )
+        remaining = t_end - t
+        h = remaining
+        if e2 * inv_rho * h > 1.0:
+            h = 1.0 / (e2 * inv_rho)
+        if not t + h > t:
+            raise AssertionError("step size underflow")
+
+        x, p = trajectory._at(xs, h)
+        p /= direction
+        trajectory._check_drift(energy, abs(hamiltonian(model, x, p) - energy))
+        yield t, h, xs
+        t = t_end if h == remaining else t + h
 
 
 def default_start(g):
@@ -345,6 +390,69 @@ class TestIntegrate:
         x1 = turning_points(model, state.energy).x1
         with pytest.raises(EnergyDriftExceeded):
             integrate(model, state.energy, x1, 0j, IntegratorConfig(t_max=70.0))
+
+    def test_trajectory_export_work_count(self, monkeypatch):
+        # the benchmark's trajectory_export pass: four samplings near
+        # g = 0.143 and their round trips took 3,469 Taylor steps and
+        # 20,004 samples before the recurrence was tabulated; a speed-up
+        # must not come from fewer, coarser steps
+        steps = count_steps(monkeypatch)
+        samples = 0
+        for g, t_max in zip((0.1425, 0.1429, 0.1433, 0.1437), (100.0, 200.0, 300.0, 400.0)):
+            model, energy, x1 = default_start(g)
+            samples += len(integrate(model, energy, x1, 0j, IntegratorConfig(t_max=t_max)))
+            reversibility_error(model, energy, x1, 0j, 50.0)
+        assert samples == 20004
+        assert steps[0] <= 3469
+
+
+class TestStepper:
+    # the tabulated recurrence against the while-loop one it replaced:
+    # equal values (==) and equal reprs, which also pins the signs of zeros
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13, 1e-300])
+    @pytest.mark.parametrize("direction", [1.0, -1j, cmath.exp(0.7j)])
+    @pytest.mark.parametrize("harmonic", [False, True])
+    def test_same_steps_as_the_while_loop(self, rel_tol, direction, harmonic):
+        # the cubic orbit's walk along -i stops short of its pole
+        if harmonic:
+            model, energy, x0, p0 = HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j
+            t_end = 30.0 if direction == 1.0 else 4.0
+        else:
+            model, energy, x0 = default_start(0.143)
+            p0 = 0j
+            t_end = 30.0 if direction == 1.0 else 2.0
+        cfg = IntegratorConfig(rel_tol=rel_tol)
+        args = (model, energy, x0, p0, t_end, cfg, direction)
+        new = [(t, h, list(xs)) for t, h, xs in trajectory._steps(*args)]
+        old = [(t, h, list(xs)) for t, h, xs in while_loop_steps(*args)]
+        assert len(new) > 2
+        assert new == old
+        assert repr(new) == repr(old)
+
+    def test_real_orbit_keeps_its_zero_signs(self):
+        # a real start at a real energy: every coefficient's imaginary part
+        # is a zero, and its sign must match the reference's
+        model = CubicModel(0.1)
+        x1 = turning_points(model, 0.3 + 0j).x1
+        args = (model, 0.3 + 0j, x1, 0j, 20.0, IntegratorConfig())
+        new = [xs for _t, _h, xs in trajectory._steps(*args)]
+        old = [xs for _t, _h, xs in while_loop_steps(*args)]
+        assert all(c.imag == 0.0 for xs in new for c in xs)
+        assert repr(new) == repr(old)
+
+    def test_drift_message_is_unchanged(self):
+        # the limit is tabulated, and _check_drift still words the failure
+        g = 2.0 / math.sqrt(125.0)
+        model, energy, x1 = default_start(g)
+        args = (model, energy, x1, 0j, 70.0, IntegratorConfig())
+        messages = []
+        for steps in (trajectory._steps, while_loop_steps):
+            with pytest.raises(EnergyDriftExceeded) as info:
+                for _ in steps(*args):
+                    pass
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("|H - E| reached")
 
 
 class TestCrossingTime:
