@@ -31,10 +31,15 @@ Each step's polynomial is its own dense output: the samples of
 numpy Horner pass in the operation order of the scalar evaluation (so
 bit-identical to it), and a crossing search tests Re x over the whole
 step polynomial, not only at the step ends, so an excursion past the
-target inside one step is not missed.  The energy drift |H - E| is the
-quality diagnostic: it is checked at every step end and at every
-emitted sample.  The stepper holds only the current state and the
-sampling one block of samples and their steps, so memory beyond the
+target inside one step is not missed.  That search needs no LAPACK: the
+polynomial's Bernstein form bounds it on a window by its convex hull,
+de Casteljau halving narrows the windows the hull cannot settle, and
+bracketed Newton steps refine the first root once a window provably
+holds exactly one.  numpy is imported only where the samples' arrays
+are built, so a crossing search never loads it.  The energy drift
+|H - E| is the quality diagnostic: it is checked at every step end and
+at every emitted sample.  The stepper holds only the current state and
+the sampling one block of samples and their steps, so memory beyond the
 output arrays does not grow with the horizon.
 
 The crossing time is not marched to.  Every orbit is an elliptic
@@ -52,17 +57,22 @@ concurrently, and identical inputs produce bit-identical sample
 sequences on one platform.
 """
 
+from __future__ import annotations
+
 import bisect
 import cmath
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cubic import _check_position, _periods, _pole_time, turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
+
+if TYPE_CHECKING:  # numpy is imported where arrays are built
+    import numpy as np
 
 __all__ = [
     "IntegratorConfig",
@@ -99,6 +109,11 @@ MAX_SAMPLES = 10**6
 # numpy's per-call cost is spread thin, and a block's buffers take about
 # 0.2 MB at order 15 whatever the horizon.
 _BLOCK = 1024
+
+# The root search stops halving a window of s = tau / h in [0, 1] below
+# this width, a few units in the last place of s = 1: the Bernstein
+# coefficients' rounding then outweighs what another split could prove.
+_MIN_WIDTH = 1e-15
 
 
 @dataclass(frozen=True)
@@ -263,13 +278,21 @@ def _walk(model, energy, x, p, z, cfg):
 
 def _first_reach(xs, h, target):
     """First tau in [0, h] at which Re x(tau) = target on the step
-    polynomial ``xs``, or None.
+    polynomial ``xs``, or None; 0.0 if Re x already starts at or past it.
 
-    The step is skipped only when Re x_0 + sum_{k>=1} |Re x_k| h**k, a
-    bound on Re x over the whole step, stays below the target; otherwise
-    the first exactly real root of the polynomial minus the target is
-    taken.  The polynomial is real, so np.roots (LAPACK's real Schur
-    form) returns its real roots with imaginary part exactly 0.
+    The step is skipped when Re x_0 + sum_{k>=1} |Re x_k| h**k, a bound
+    on Re x over the whole step, stays below the target.  Otherwise the
+    polynomial a(s) = Re x(h s) - target is searched on s in [0, 1] in
+    its Bernstein form, whose coefficients bound a from above and below
+    on their window (the convex hull property): a window whose
+    coefficients are all negative holds no root; one whose coefficients
+    change sign once, from negative to positive, holds exactly one, which
+    safeguarded Newton steps on the power form refine to about an ulp;
+    any other window is halved by de Casteljau's algorithm, the left half
+    searched first (Farouki & Rajan, CAGD 5 (1988) 1).  No window is
+    passed over unless its hull proves it root-free, so an excursion past
+    the target inside the step is found even when both step ends lie
+    below it.
     """
     a = [c.real for c in xs]
     a[0] -= target
@@ -280,14 +303,86 @@ def _first_reach(xs, h, target):
         bound = (bound + abs(c)) * h
     if a[0] + bound < 0.0:
         return None
-    # roots in s = tau / h, so the window is [0, 1]
-    scaled = [c * h**k for k, c in enumerate(a)]
-    roots = [
-        float(r.real)
-        for r in np.roots(scaled[::-1])
-        if r.imag == 0.0 and 0.0 <= r.real <= 1.0
-    ]
-    return h * min(roots) if roots else None
+    c = [ak * h**k for k, ak in enumerate(a)]
+    s = _first_root(c, _to_bernstein(c), 0.0, 1.0)
+    return None if s is None else h * s
+
+
+@functools.cache
+def _bernstein_weights(n):
+    """Row i holds C(i, k) / C(n, k) for k <= i: the weights of the power
+    coefficients c_k in the Bernstein coefficient b_i of degree n on
+    [0, 1]."""
+    return tuple(
+        tuple(math.comb(i, k) / math.comb(n, k) for k in range(i + 1)) for i in range(n + 1)
+    )
+
+
+def _to_bernstein(c):
+    """Bernstein coefficients on [0, 1] of the polynomial sum c[k] s**k."""
+    return [sum(map(operator.mul, row, c)) for row in _bernstein_weights(len(c) - 1)]
+
+
+def _halves(b):
+    """Bernstein coefficients of the left and right halves of the window
+    of ``b``, by de Casteljau's algorithm at its midpoint."""
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [0.5 * (u + v) for u, v in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _first_root(c, b, lo, hi):
+    """First root in [lo, hi] of a(s) = sum c[k] s**k, given its Bernstein
+    coefficients ``b`` on that window with b[0] = a(lo) < 0, or None.
+
+    A right half is searched only after its left half proved root-free,
+    whose last coefficient is the right half's first, so b[0] < 0 holds
+    on every window searched.
+    """
+    if max(b) < 0.0:
+        return None
+    first = next(i for i, v in enumerate(b) if v >= 0.0)
+    if b[-1] > 0.0 and min(b[first:]) >= 0.0:
+        return _newton(c, lo, hi, lo + (hi - lo) * b[0] / (b[0] - b[-1]))
+    if hi - lo < _MIN_WIDTH:
+        return lo
+    mid = 0.5 * (lo + hi)
+    left, right = _halves(b)
+    s = _first_root(c, left, lo, mid)
+    return s if s is not None else _first_root(c, right, mid, hi)
+
+
+def _newton(c, lo, hi, s):
+    """The one root in [lo, hi] of a(s) = sum c[k] s**k, given
+    a(lo) < 0 < a(hi), from the start ``s``.
+
+    Each step narrows the bracket to a(lo) < 0 <= a(hi).  A Newton step
+    is taken if it lands inside the bracket and is at most half as long
+    as the step before it, else the bracket is bisected; the search ends
+    at a Newton step below an ulp of s, or when no float lies inside the
+    bracket.
+    """
+    step = hi - lo
+    while True:
+        f, df = _at(c, s)
+        if f < 0.0:
+            lo = s
+        else:
+            hi = s
+        dx = f / df.real if df else math.inf
+        if abs(dx) <= sys.float_info.epsilon * s:
+            return s - dx
+        if lo < s - dx < hi and abs(dx) <= 0.5 * step:
+            step = abs(dx)
+            s -= dx
+        else:
+            step = 0.5 * (hi - lo)
+            s = lo + step
+            if not lo < s < hi:
+                return hi
 
 
 def _check_shell(model, energy, x0, p0):
@@ -304,6 +399,8 @@ def _check_shell(model, energy, x0, p0):
 
 
 def _sample_times(t_max, interval):
+    import numpy as np
+
     # floor(count) + 1 samples, over the limit exactly when count is; count
     # is inf at a subnormal interval, so it is checked before floor
     count = t_max / interval + 1e-9
@@ -327,6 +424,8 @@ def _horner(block, times):
     ``_at`` runs on the rows of all samples' coefficients at once, so
     each sample is bit-identical to ``_at(xs, time - t)``.
     """
+    import numpy as np
+
     starts, counts, coefs = zip(*block)
     owner = np.repeat(np.arange(len(block)), counts)
     return _at(np.array(coefs).T[:, owner], times - np.array(starts)[owner])
@@ -390,6 +489,8 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
         If the step no longer advances time (typically a trajectory
         heading into a finite-time blow-up of the cubic flow).
     """
+    import numpy as np
+
     cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     times = _sample_times(cfg.t_max, cfg.sample_interval)
     x = np.empty(times.size, dtype=complex)

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -74,8 +75,8 @@ def test_cubic_imports_neither_numpy_nor_scipy():
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.integrate costs ~0.7 s and ~50 MB to import; the package runs
-    # on numpy alone and scipy is only a test dependency.
+    # scipy.integrate costs ~0.7 s and ~50 MB to import; the package needs
+    # numpy only for integrate's arrays, and scipy is only a test dependency.
     root = os.path.dirname(os.path.dirname(semiclassics.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     code = "import sys, semiclassics.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -85,6 +86,39 @@ def test_cli_import_leaves_scipy_out():
     ).stdout
     assert out.strip() == "[]"
 
+
+def test_commands_without_arrays_leave_numpy_out(tmp_path):
+    # numpy is most of the CLI's start-up; only integrate's sample arrays
+    # need it, so only the trajectory command loads it
+    root = os.path.dirname(os.path.dirname(semiclassics.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    orbit = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "orbits",
+                         "linear_orbit.json")
+    commands = [
+        ["tau", "--g", "0.1"],
+        ["turning-points", "--g", "0.1"],
+        ["crossing-time", "--g", "0.17888"],
+        ["table1"],
+        ["gutzwiller", "eval", "--orbit", orbit, "--energy", "1.0"],
+        ["gutzwiller", "poles", "--orbit", orbit],
+        ["trajectory", "--g", "0.17888", "--t-max", "1", "--out", str(tmp_path / "t.csv")],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from semiclassics.cli import main\n"
+        "loaded = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    loaded.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert json.loads(out) == [[argv[0], 0, argv[0] == "trajectory"] for argv in commands]
 
 def test_cli_import_builds_no_parser():
     # the argparse tree is built on the first main call, not at import
