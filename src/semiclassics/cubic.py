@@ -13,9 +13,12 @@ for the other two by the quadratic that Vieta's relations leave.  For a
 real energy the sign of k decides the roots: three real ones for k < 0,
 a real root and a conjugate pair for k > 0.
 
-The orbits at energy E are elliptic functions of complex time.  Their
-period lattice and their poles both come from Carlson's symmetric
-integral R_F here (private helpers of the crossing search).
+The orbits at energy E are elliptic functions of complex time, and the
+crossing search's whole lattice geometry lives here in private helpers:
+the period lattice and the poles from Carlson's symmetric integral R_F,
+the number of rows of real time below the first line of poles, and the
+orbit's state x, p at any complex time from Weierstrass's function on
+the reduced lattice, summed as a cosecant series (DLMF 23.8, 23.18).
 
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
@@ -389,3 +392,62 @@ def _pole_time(model: CubicModel, tps: TurningPoints, x0: complex, p0: complex) 
     slope = 0.5 * model.g * p0
     rf = _carlson_rf(*d)
     return -rf if abs(slope + branch) <= abs(slope - branch) else rf
+
+
+def _lattice_b(periods: tuple[complex, complex], z: complex) -> float:
+    """The real b of z = a T + b T' on the lattice (T, T')."""
+    T, T_prime = periods
+    return (z * T.conjugate()).imag / (T_prime * T.conjugate()).imag
+
+
+def _rows_below_poles(periods: tuple[complex, complex], pole: complex) -> int:
+    """The number of rows n = 0, 1, ... that lie below the first line of
+    poles.
+
+    Real time n Re T + s is the complex time s - i n Im T ("row n"), and
+    row n's segment -i n Im T + [0, Re T) covers b in [n delta, (n + 1)
+    delta) with delta = b(-i Im T), while the poles sit on the lines
+    b = b(pole) mod 1.  The rows counted run up to the one that meets the
+    nearest such line (at least row 0, real time itself, and only row 0
+    for a real T, whose orbit is periodic).  For the start at rest at x1
+    the pole is T'/2 and the count is about (|Im T'|/2) / |Im T|.
+    """
+    if periods[0].imag == 0.0:
+        return 1
+    delta = _lattice_b(periods, complex(0.0, -periods[0].imag))
+    level = (_lattice_b(periods, pole) / delta) % (1.0 / abs(delta))
+    return max(1, math.ceil(level))
+
+
+def _orbit_at(model: CubicModel, periods: tuple[complex, complex], t0: complex, z: complex):
+    """x and p = dx/dt at the complex time z of the orbit with a pole at t0.
+
+    The orbit is x(z) = 2 P(w) / g + 1 / (6 g) with w = z - t0 and P
+    Weierstrass's function on the lattice (T, T') (see ``_pole_time``).
+    The lattice is first reduced (DLMF 23.18): T' loses the nearest whole
+    multiple of T, and the two swap while |T'| < |T|, which leaves
+    |Im(T'/T)| >= sqrt(3)/2.  Each line of poles parallel to T sums to
+    Sum_m (w + m T)**-2 = c**2 csc**2(c w) with c = pi / T (DLMF 23.8), so
+
+        P(w) = c**2 [Sum_n csc**2(c (w + n T')) - 1/3 - Sum_{n != 0} csc**2(c n T')],
+
+    the constant making P(w) - 1/w**2 vanish at 0, and P'(w) =
+    -2 c**3 Sum_n cot csc**2(c (w + n T')).  With w moved by whole periods
+    T' to its lattice coordinate |b| <= 1/2, term n is below
+    exp(-(2 |n| - 1) pi |Im(T'/T)|), 0.0043**(|n| - 1/2) at most: the
+    terms with (|n| - 1/2) pi |Im(T'/T)| <= 20, at most 7 a side, reach
+    1e-17 of the sum.
+    """
+    T, T_prime = periods
+    while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
+        T, T_prime = T_prime, T
+    w = z - t0 - round(_lattice_b((T, T_prime), z - t0)) * T_prime
+    c = cmath.pi / T
+    last = int(0.5 + 20.0 / abs((c * T_prime).imag))
+    wp, dwp = -1.0 / 3.0, 0j
+    for n in range(-last, last + 1):
+        s = cmath.sin(a := c * (w + n * T_prime))
+        csc2 = 1.0 / (s * s)
+        wp += csc2 - (1.0 / cmath.sin(c * n * T_prime) ** 2 if n else 0.0)
+        dwp += cmath.cos(a) / s * csc2
+    return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g

@@ -244,6 +244,9 @@ class TestTrajectory:
               "--x0", "re=0.1,im=0", "--t-max", "1"], "barrier top"),
             # a subnormal interval: the sample count overflows to inf
             (["--g", "0.1", "--t-max", "100", "--sample-interval", "1e-320"], "samples"),
+            # 1,001 samples over a horizon beyond the default t_max, 2e5
+            (["--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e15",
+              "--sample-interval", "1e12"], "t_max = 1e+15 exceeds the limit of 200000"),
         ],
     )
     def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, reason):

@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 
 from semiclassics import trajectory
 from semiclassics.cli import compute_table1, main as cli_main
-from semiclassics.cubic import _periods, _pole_time
+from semiclassics.cubic import _orbit_at, _periods, _pole_time, _rows_below_poles
 from tests.test_cubic import SEPARATRIX_ENERGIES, SEPARATRIX_G
 from semiclassics import (
     CubicModel,
@@ -98,8 +98,9 @@ class JacobiOrbit:
     digits: x(t) = x1 + (x2 - x1) sn**2(lam t | m), lam**2 = g (x3 - x1)/2,
     m = (x2 - x1)/(x3 - x1), with the roots from mp.polyroots.  It uses
     none of the package's turning points, periods or R_F.  In u = lam t,
-    sn**2 has the periods 2K(m) and 2i K(1 - m); u is reduced modulo both
-    before mp.ellipfun, whose theta series want a small argument."""
+    sn**2 and its derivative 2 sn cn dn have the periods 2K(m) and
+    2i K(1 - m); u is reduced modulo both before mp.ellipfun, whose theta
+    series want a small argument."""
 
     def __init__(self, g, energy):
         with mp.workdps(40):
@@ -111,16 +112,27 @@ class JacobiOrbit:
             self.cell = (2 * mp.ellipk(self.m), 2j * mp.ellipk(1 - self.m))
             self.period = mp.re(self.cell[0] / self.lam)  # Re T
 
+    def reduced(self, t):
+        """u = lam t reduced modulo the cell (2K(m), 2i K(1 - m))."""
+        u = self.lam * t
+        w1, w2 = self.cell
+        span = mp.im(w2 * mp.conj(w1))
+        return u - (mp.nint(mp.im(w2 * mp.conj(u)) / span) * w1
+                    + mp.nint(mp.im(u * mp.conj(w1)) / span) * w2)
+
     def excess(self, t):
         """Re x(t) - Re x3 at the real time t."""
         with mp.workdps(40):
-            u = self.lam * mp.mpf(t)
-            w1, w2 = self.cell
-            span = mp.im(w2 * mp.conj(w1))
-            u -= (mp.nint(mp.im(w2 * mp.conj(u)) / span) * w1
-                  + mp.nint(mp.im(u * mp.conj(w1)) / span) * w2)
-            sn = mp.ellipfun("sn", u, m=self.m)
+            sn = mp.ellipfun("sn", self.reduced(mp.mpf(t)), m=self.m)
             return mp.re(self.x1 + (self.x2 - self.x1) * sn**2 - self.x3)
+
+    def state(self, t):
+        """x and p = dx/dt at the complex time t, as Python complex numbers."""
+        with mp.workdps(40):
+            u = self.reduced(mp.mpc(t.real, t.imag))
+            sn, cn, dn = (mp.ellipfun(name, u, m=self.m) for name in ("sn", "cn", "dn"))
+            d = self.x2 - self.x1
+            return complex(self.x1 + d * sn**2), complex(2 * self.lam * d * sn * cn * dn)
 
 
 @functools.cache
@@ -228,6 +240,21 @@ def while_loop_steps(model, energy, x, p, t_end, cfg, direction=1.0):
         t = t_end if h == remaining else t + h
 
 
+def complex_walk(model, energy, x, p, z, cfg):
+    """(x, p) after the complex time z, on the reference steps of
+    ``while_loop_steps`` along the straight segment from 0 to z: a
+    reference for the closed-form state that shares none of its
+    lattice."""
+    if z == 0:
+        return x, p
+    length = abs(z)
+    direction = z / length
+    for _t, h, xs in while_loop_steps(model, energy, x, p, length, cfg, direction):
+        pass
+    x, p = trajectory._at(xs, h)
+    return x, p / direction
+
+
 def default_start(g):
     """Model, corrected quasi-bound energy and x1 of a table1 row."""
     model = CubicModel(g)
@@ -249,6 +276,15 @@ def count_steps(monkeypatch):
     return counter
 
 
+def call_counter(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
 def peak_traced_bytes(fn, *args):
     """Peak memory that Python allocates while fn(*args) runs."""
     tracemalloc.start()
@@ -265,6 +301,18 @@ def np_roots_first_reach(c):
     in-step search as it was before the Bernstein form replaced it."""
     roots = [r.real for r in np.roots(c[::-1]) if r.imag == 0.0 and 0.0 <= r.real <= 1.0]
     return min(roots) if roots else None
+
+
+def exact_root(c, s):
+    """The root of sum c[k] s**k that Newton's method at 40 digits reaches
+    from ``s``, the exact coefficients being the floats c[k]."""
+    with mp.workdps(40):
+        poly = [mp.mpf(ck) for ck in reversed(c)]
+        slope = [k * mp.mpf(ck) for k, ck in enumerate(c)][:0:-1]
+        r = mp.mpf(s)
+        for _ in range(10):
+            r -= mp.polyval(poly, r) / mp.polyval(slope, r)
+        return float(r)
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +490,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="samples"):
             integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
 
+    def test_horizon_is_bounded(self, monkeypatch):
+        # 1,001 samples, within the sample limit, over a horizon that the
+        # stepper would never finish: refused before any step, at any
+        # horizon beyond the default t_max
+        calls = []
+        monkeypatch.setattr(trajectory, "_steps", lambda *args: calls.append(args))
+        for t_max in (1e15, 200000.5):
+            cfg = IntegratorConfig(t_max=t_max, sample_interval=t_max / 1000)
+            with pytest.raises(ValueError, match="exceeds the limit of 200000"):
+                integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
+        assert calls == []
+
     def test_sample_limit_message_is_short(self):
         # 1e300 samples: the message names the limit, not the count
         cfg = IntegratorConfig(t_max=1.0, sample_interval=1e-300)
@@ -548,16 +608,20 @@ class TestStepper:
     @pytest.mark.parametrize("direction", [1.0, -1j, cmath.exp(0.7j)])
     @pytest.mark.parametrize("harmonic", [False, True])
     def test_same_steps_as_the_while_loop(self, rel_tol, direction, harmonic):
-        # the cubic orbit's walk along -i stops short of its pole
+        # real time from the start itself (direction 1) or from the state
+        # the reference walk reaches along a complex direction, off the
+        # real axis; the cubic orbit's walk along -i stops short of its pole
         if harmonic:
             model, energy, x0, p0 = HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j
-            t_end = 30.0 if direction == 1.0 else 4.0
+            walk = 4.0
         else:
             model, energy, x0 = default_start(0.143)
             p0 = 0j
-            t_end = 30.0 if direction == 1.0 else 2.0
+            walk = 2.0
         cfg = IntegratorConfig(rel_tol=rel_tol)
-        args = (model, energy, x0, p0, t_end, cfg, direction)
+        if direction != 1.0:
+            x0, p0 = complex_walk(model, energy, x0, p0, walk * direction, cfg)
+        args = (model, energy, x0, p0, 30.0, cfg)
         new = [(t, h, list(xs)) for t, h, xs in trajectory._steps(*args)]
         old = [(t, h, list(xs)) for t, h, xs in while_loop_steps(*args)]
         assert len(new) > 2
@@ -695,8 +759,8 @@ class TestRootSearch:
         assert len(searched) <= 84
 
     def test_agrees_with_np_roots_on_table1(self, table1_root_searches):
-        # np.roots is off the exact root by up to 8 ulp here, the Bernstein
-        # search by under one
+        # the same roots as np.roots, and each within an ulp of the exact
+        # root of the float polynomial, which np.roots misses by up to 16.5
         searched, _ = table1_root_searches
         found = 0
         for c in searched:
@@ -705,7 +769,7 @@ class TestRootSearch:
             assert (s is None) == (reference is None)
             if s is not None:
                 found += 1
-                assert abs(s - reference) <= 16 * sys.float_info.epsilon
+                assert abs(s - exact_root(c, reference)) <= sys.float_info.epsilon
         assert found == 15
 
     @pytest.mark.parametrize("lift", [1e-12, -1e-12], ids=["above", "below"])
@@ -783,12 +847,14 @@ class TestLatticeReduction:
         # row holds it: the predicate is monotone where bisection looks
         model, energy, x1 = default_start(g)
         tps = turning_points(model, energy)
-        T = _periods(model, tps)[0]
-        assert math.floor(crossing_time(model, energy, x1, 0j) / T.real) == first_row
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x1, 0j)
+        assert math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real) == first_row
+        args = (model, energy, x1, 0j, periods, t0)
         cfg = IntegratorConfig()
         scanned = next(
             n for n in itertools.count()
-            if trajectory._reach_on_row(model, energy, x1, 0j, T, n, tps.x3.real, cfg) is not None
+            if trajectory._reach_on_row(*args, n, tps.x3.real, cfg) is not None
         )
         assert scanned == first_row
 
@@ -873,20 +939,17 @@ class TestLatticeReduction:
         assert t_c == pytest.approx(3.4201096417433727, rel=1e-12)
 
     def test_table1_work_count(self, monkeypatch):
-        # the table's four crossings: 1,082 Taylor steps and 33 row tries
-        # before the pole line came from a closed form
+        # the table's four crossings: 33 row tries, of which the 29 above
+        # row 0 start from the closed-form orbit, and 720 Taylor steps
         steps = count_steps(monkeypatch)
-        rows = [0]
-        reach = trajectory._reach_on_row
-
-        def counting(*args):
-            rows[0] += 1
-            return reach(*args)
-
-        monkeypatch.setattr(trajectory, "_reach_on_row", counting)
+        calls = {"_reach_on_row": 0, "_orbit_at": 0}
+        for name in calls:
+            counted = call_counter(calls, name, getattr(trajectory, name))
+            monkeypatch.setattr(trajectory, name, counted)
         compute_table1()
-        assert steps[0] <= 1082
-        assert rows[0] <= 33
+        assert steps[0] <= 720
+        assert calls["_reach_on_row"] <= 33
+        assert calls["_orbit_at"] <= 29
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
@@ -900,13 +963,13 @@ class TestLatticeReduction:
     @pytest.mark.parametrize("g, energy", [(0.12522, None), (0.1, 0.3 + 0j), (0.2, 0.3 + 0.1j)])
     def test_periods_return_the_orbit(self, g, energy):
         # a start at rest at x1 comes back to it after T, and one at x2
-        # after T', walked in complex time by the stepper (the walk from
-        # x1 along T' would meet the pole at T'/2)
+        # after T', walked in complex time by the test-side stepper (the
+        # walk from x1 along T' would meet the pole at T'/2)
         model = CubicModel(g)
         energy = energy or corrected_quasi_bound_energy(g).energy
         tps = turning_points(model, energy)
         for x0, period in zip((tps.x1, tps.x2), _periods(model, tps)):
-            x, p = trajectory._walk(model, energy, x0, 0j, period, IntegratorConfig())
+            x, p = complex_walk(model, energy, x0, 0j, period, IntegratorConfig())
             assert abs(x - x0) <= 1e-10
             assert abs(p) <= 1e-10
 
@@ -973,7 +1036,8 @@ class TestLatticeReduction:
     @pytest.mark.parametrize("x0", [None, 0.1, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j])
     @pytest.mark.parametrize("branch", [1, -1])
     def test_pole_time(self, x0, branch):
-        # near a pole t_p, x ~ (2/g) / (t - t_p)**2
+        # near a pole t_p, x ~ (2/g) / (t - t_p)**2, walked to by the
+        # test-side stepper
         model, energy, x1 = default_start(0.16099)
         x0 = x1 if x0 is None else complex(x0)
         p0 = initial_momentum(model, energy, x0, branch)
@@ -981,12 +1045,90 @@ class TestLatticeReduction:
         pole = _pole_time(model, tps, x0, p0)
         for distance in (1.0, 0.5):
             z = pole * (1.0 - distance / abs(pole))
-            x, _p = trajectory._walk(model, energy, x0, p0, z, IntegratorConfig())
+            x, _p = complex_walk(model, energy, x0, p0, z, IntegratorConfig())
             assert abs(x) * distance**2 * model.g / 2.0 == pytest.approx(1.0, abs=0.1 * distance)
+
+    @pytest.mark.parametrize("x0", [0.1, -0.5 + 0.2j, 1.0 - 0.3j, 3.0 + 1.0j])
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_row_starts_match_the_complex_walk(self, x0, branch):
+        # the closed-form state at the first, middle and last row start
+        # below the poles against the test-side walk there at rel_tol
+        # 1e-13 (they agree to 1e-14)
+        model, energy, _ = default_start(0.16099)
+        x0 = complex(x0)
+        p0 = initial_momentum(model, energy, x0, branch)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x0, p0)
+        rows = _rows_below_poles(periods, t0)
+        cfg = IntegratorConfig(rel_tol=1e-13)
+        for n in (1, rows // 2, rows - 1):
+            z = complex(0.0, -n * periods[0].imag)
+            for value, walked in zip(_orbit_at(model, periods, t0, z),
+                                     complex_walk(model, energy, x0, p0, z, cfg)):
+                assert abs(value - walked) <= 1e-11 * abs(walked)
+
+
+ROW_2_NEXT_TO_A_POLE = pytest.mark.xfail(
+    strict=True, raises=EnergyDriftExceeded,
+    reason="the first step from row 2's exact start, next to a pole, trips the drift check")
 
 
 class TestJacobiOracle:
-    """crossing_time against the closed-form orbit of JacobiOrbit."""
+    """crossing_time and the closed-form row starts against the orbit of
+    JacobiOrbit."""
+
+    @pytest.mark.parametrize("g", [0.12522, 0.14311, 0.16099, 0.17888])
+    def test_row_starts(self, g):
+        # x and p at the row starts -i n Im T, at about 20 rows from the
+        # first to the last below the poles and on the crossing row (they
+        # agree to 1.8e-12)
+        model, energy, x1 = default_start(g)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x1, 0j)
+        rows = _rows_below_poles(periods, t0)
+        crossing_row = math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real)
+        orbit = jacobi_orbit(g, energy)
+        for n in sorted({*range(1, rows, max(1, rows // 20)), crossing_row, rows - 1} - {0}):
+            z = complex(0.0, -n * periods[0].imag)
+            for value, exact in zip(_orbit_at(model, periods, t0, z), orbit.state(z)):
+                assert abs(value - exact) <= 1e-11 * abs(exact)
+
+    # energies whose lattice needs the swap T <-> T' (near the separatrix,
+    # 2.5 and 0.3 + 0.1i), a shift of T' by T (-1.0) or both (2.0 at
+    # g = 0.2, 3.25) before the cosecant series
+    @pytest.mark.parametrize("g, energy", [
+        *((SEPARATRIX_G, e) for e in SEPARATRIX_ENERGIES[::3]),
+        (0.1, 2.5 + 0j), (0.2, 0.3 + 0.1j), (0.2, 2.0 + 0j), (0.1, -1.0 + 0j), (0.1, 3.25 + 0j),
+    ])
+    def test_orbit_on_reduced_lattices(self, g, energy):
+        # the state at complex times across the cell, measured against the
+        # larger of |x| and |p| since either may vanish (to 7.3e-12 near
+        # the separatrix, 1e-14 elsewhere), from at most 7 terms a side:
+        # one sine for n = 0 and two for each other term (on the lattice
+        # as given, 28 a side near the separatrix)
+        model = CubicModel(g)
+        tps = turning_points(model, energy)
+        T, T_prime = periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, tps.x1, 0j)
+        orbit = jacobi_orbit(g, energy)
+        sines = []
+        sin = cmath.sin
+
+        def counted_sin(z):
+            sines.append(z)
+            return sin(z)
+
+        for a, b in [(0.1, 0.2), (0.37, -0.3), (0.8, 0.4), (-0.6, 0.7), (2.3, -1.2), (0.25, 0.25)]:
+            z = a * T + b * T_prime
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cmath, "sin", counted_sin)
+                x, p = _orbit_at(model, periods, t0, z)
+            x_exact, p_exact = orbit.state(z)
+            scale = max(abs(x_exact), abs(p_exact))
+            assert max(abs(x - x_exact), abs(p - p_exact)) <= 1e-11 * scale
+        assert len(sines) <= 6 * (1 + 2 * 2 * 7)
 
     @pytest.mark.parametrize("g", [0.12522, 0.14311, 0.16099, 0.17888])
     @pytest.mark.parametrize("tolerances, bound",
@@ -1012,17 +1154,33 @@ class TestJacobiOracle:
         t_c = crossing_time(model, energy, x1, 0j)
         assert abs(t_c - jacobi_crossing(SEPARATRIX_G, energy, t_c)) <= 1e-6
 
-    # crossing-time fails at the default tolerance for g in [0.202, 0.2065]:
-    # the bisection tries row 2 first, whose walk passes near a pole and
-    # trips the drift check, though row 1 holds the crossing
-    @pytest.mark.xfail(strict=True, raises=EnergyDriftExceeded,
-                       reason="the row-2 walk passes near a pole and trips the drift check")
-    @pytest.mark.parametrize("g, exact", [(0.202, 11.7303650987), (0.204, 11.5240083897),
-                                          (0.2065, 11.2938313137)])
+    # crossing-time fails at the default tolerance for g = 0.204 and 0.2065:
+    # the bisection tries row 2 first, which starts next to a pole, and the
+    # first step from its exact start already trips the absolute drift
+    # check (|H - E| = 1.7e-5 at 0.204), though row 1 holds the crossing
+    @pytest.mark.parametrize("g, exact", [
+        (0.202, 11.7303650987),
+        pytest.param(0.204, 11.5240083897, marks=ROW_2_NEXT_TO_A_POLE),
+        pytest.param(0.2065, 11.2938313137, marks=ROW_2_NEXT_TO_A_POLE),
+    ])
     def test_crossings_where_the_level_meets_the_barrier_top(self, g, exact):
         model, energy, x1 = default_start(g)
         assert jacobi_crossing(g, energy, exact) == pytest.approx(exact, rel=1e-9)
         assert crossing_time(model, energy, x1, 0j) == pytest.approx(exact, rel=1e-9)
+
+    # the same from x1 + 0.05i, against the crossing at rel_tol 1e-13
+    @pytest.mark.parametrize("g, exact", [
+        (0.2015, 11.465620538328322),
+        pytest.param(0.202, 11.416212626449296, marks=ROW_2_NEXT_TO_A_POLE),
+        pytest.param(0.2025, 11.3679894570712, marks=ROW_2_NEXT_TO_A_POLE),
+    ])
+    def test_complex_starts_where_the_level_meets_the_barrier_top(self, g, exact):
+        model, energy, x1 = default_start(g)
+        x0 = x1 + 0.05j
+        p0 = initial_momentum(model, energy, x0)
+        tight = IntegratorConfig(rel_tol=1e-13)
+        assert crossing_time(model, energy, x0, p0, tight) == pytest.approx(exact, rel=1e-12)
+        assert crossing_time(model, energy, x0, p0) == pytest.approx(exact, rel=1e-9)
 
 
 class TestReversibility:
