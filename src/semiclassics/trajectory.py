@@ -46,13 +46,14 @@ function of complex time (DLMF 23) with a period T of tiny imaginary
 part (``cubic._periods``), so real time n Re T + s is the complex time
 s - i n Im T: after n oscillations the orbit runs along row n, a line
 n |Im T| closer to the first row of poles.  Re x reaches Re x3 once a
-row comes close enough to it.  ``crossing_time`` bisects over n for the
-first such row, below the poles and within the horizon.  Each try
-starts row n from the closed-form state at -i n Im T
-(``cubic._orbit_at``, Weierstrass's function on the reduced lattice)
-and marches one period of real time from there, so its cost does not
-grow with t_c or t_max: table1's four crossings take 720 Taylor steps
-in 33 row tries and 29 closed-form evaluations.
+row comes close enough to it.  ``crossing_time`` searches n for the
+first such row, below the poles and within the horizon: the closed form
+predicts it (``cubic._crossing_row``), and a galloping search from the
+prediction confirms it.  Each try starts row n from the closed-form
+state at -i n Im T (``cubic._orbit_at``, Weierstrass's function on the
+reduced lattice) and marches one period of real time from there, so its
+cost does not grow with t_c or t_max: table1's four crossings take 296
+Taylor steps in 12 row tries and 17 closed-form evaluations.
 
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
@@ -70,8 +71,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cubic import (_check_position, _orbit_at, _periods, _pole_time, _rows_below_poles,
-                    turning_points)
+from .cubic import (_check_position, _crossing_row, _orbit_at, _periods, _pole_time,
+                    _rows_below_poles, turning_points)
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
@@ -519,21 +520,64 @@ def _reach_on_row(model, energy, x0, p0, periods, t0, n, target, cfg):
     return None
 
 
+def _first_row(found, lo, hi, guess=None):
+    """The first n in [lo, hi) with found(n), or hi if there is none, for
+    a predicate that stays true from its first true n on.
+
+    With a guess (clamped into [lo, hi)) the search gallops from it:
+    found(guess), then guess - 1, - 2, - 4, ... while they hold, or
+    guess + 1, + 2, + 4, ... while they do not, until the answer is
+    bracketed; the bracket is then bisected.  That takes at most
+    2 ceil(log2(|guess - n| + 1)) + 2 probes.  Without a guess [lo, hi)
+    is bisected.  All in int arithmetic, so hi may exceed any index.
+    """
+    if guess is not None and lo < hi:
+        start = min(max(guess, lo), hi - 1)
+        step = 1
+        if found(start):
+            hi = start
+            while lo < hi:
+                m = max(start - step, lo)
+                if not found(m):
+                    lo = m + 1
+                    break
+                hi, step = m, 2 * step
+        else:
+            lo = start + 1
+            while lo < hi:
+                m = min(start + step, hi - 1)
+                if found(m):
+                    hi = m
+                    break
+                lo, step = m + 1, 2 * step
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if found(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> float:
     """First time at which Re x(t) reaches the rightmost turning point.
 
     t_c = n Re T + s for the first row n (see the module docstring) on
     which Re x reaches Re x3 at some s in [0, Re T).  Row 0, the first
-    period of real time, is tried first; the rows above it, up to the
-    first row of poles and the horizon, are bisected, since from the
-    first row that reaches Re x3 on every row does.  The orbit's pole
-    time t0 (``cubic._pole_time``) gives both that row bound and each
-    row's closed-form start at -i n Im T; each try marches one period
-    from its start with the whole-step root search.  A real period
-    (Im T == 0.0 exactly, as for every real energy below the barrier top)
-    makes the orbit periodic, so row 0 alone decides.  A real start at a
-    real energy below the barrier top moves on the real axis between x1
-    and x2, so it never crosses and no step is taken.
+    period of real time, is tried first.  The rows above it, up to the
+    first row of poles and the horizon, are searched from the row that
+    the closed form predicts (``cubic._crossing_row``), by steps of 1,
+    2, 4, ... rows away from it until the first row is bracketed, then
+    by bisection (``_first_row``).  From the first row that reaches Re x3
+    on every row does, so any prediction gives the same row, and a
+    failed one falls back to bisecting them all.  The orbit's pole time
+    t0 (``cubic._pole_time``) gives the prediction, the row bound and
+    each row's closed-form start at -i n Im T; each try marches one
+    period from its start with the whole-step root search.  A real
+    period (Im T == 0.0 exactly, as for every real energy below the
+    barrier top) makes the orbit periodic, so row 0 alone decides.  A
+    real start at a real energy below the barrier top moves on the real
+    axis between x1 and x2, so it never crosses and no step is taken.
 
     Raises
     ------
@@ -559,7 +603,8 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
 
     n = 0
     if reach(0) is None:
-        n = bisect.bisect_left(range(rows), True, lo=1, key=lambda row: reach(row) is not None)
+        guess = _crossing_row(model, periods, t0, target) if rows > 1 else None
+        n = _first_row(lambda row: reach(row) is not None, 1, rows, guess)
     if n >= rows or n * T.real + reach(n) > cfg.t_max:
         raise NoCrossing(missed)
     return n * T.real + reach(n)

@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from semiclassics import (
 from semiclassics.cli import MAX_POLES, _build_parser, _cell, _config, _render, main
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 LINEAR_ORBIT = {
     "name": "linear-demo",
@@ -297,6 +300,20 @@ class TestCrossingTime:
         expected = crossing_time(model, energy, x1, 0j)
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-12)
 
+    def test_huge_row_bound(self, capsys):
+        # 4.5e23 rows lie below the poles at g = 0.05, an index past any
+        # sequence length, so the row search runs in int arithmetic.  The
+        # reference is the first row on which the maximum of Re x - Re x3
+        # turns positive for the Jacobi closed form at 60 digits (mpmath,
+        # ellipfun), bisected over the rows: 2.2628379238349979e24; the
+        # default tolerance's one-period march leaves 1.4e-12 relative
+        code, out, _ = run(
+            capsys, "crossing-time", "--g", "0.05", "--t-max", "1e30", "--format", "csv"
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert float(rows[0][1]) == pytest.approx(2.2628379238349979e24, rel=2e-12)
+
 
 class TestTable1:
     def test_fast_subset_csv(self, capsys, tmp_path):
@@ -325,6 +342,13 @@ class TestTable1:
             )
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_golden_csv(self, capsys, tmp_path):
+        # the default table, byte for byte, against tests/data/table1.csv
+        out_path = tmp_path / "t.csv"
+        code, _, _ = run(capsys, "table1", "--format", "csv", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "table1.csv").read_bytes()
 
     def test_no_crossing_renders_as_none_token(self, capsys, tmp_path):
         # horizon too short for the crossing: the row says "none" in the

@@ -12,9 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from semiclassics import trajectory
+from semiclassics import cubic, trajectory
 from semiclassics.cli import compute_table1, main as cli_main
-from semiclassics.cubic import _orbit_at, _periods, _pole_time, _rows_below_poles
+from semiclassics.cubic import _crossing_row, _orbit_at, _periods, _pole_time, _rows_below_poles
 from tests.test_cubic import SEPARATRIX_ENERGIES, SEPARATRIX_G
 from semiclassics import (
     CubicModel,
@@ -313,6 +313,40 @@ def exact_root(c, s):
         for _ in range(10):
             r -= mp.polyval(poly, r) / mp.polyval(slope, r)
         return float(r)
+
+
+# the rows, row 0 first, that crossing_time bisected for each table1
+# coupling before it galloped from the closed-form prediction
+BISECTED_ROWS = {
+    0.12522: (0, 1513, 2269, 1891, 2080, 2175, 2222, 2246, 2234, 2228, 2225, 2224),
+    0.14311: (0, 139, 209, 174, 192, 201, 197, 199, 198),
+    0.16099: (0, 23, 34, 29, 32, 31, 30),
+    0.17888: (0, 5, 8, 7, 6),
+}
+
+
+@pytest.fixture(scope="module")
+def bisected_row_searches():
+    """The scaled step polynomials that reach the Bernstein search on the
+    rows of BISECTED_ROWS, each marched by _reach_on_row."""
+    searched = []
+    to_bernstein = trajectory._to_bernstein
+
+    def recording(c):
+        searched.append(list(c))
+        return to_bernstein(c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_to_bernstein", recording)
+        for g, rows in BISECTED_ROWS.items():
+            model, energy, x1 = default_start(g)
+            tps = turning_points(model, energy)
+            periods = _periods(model, tps)
+            t0 = _pole_time(model, tps, x1, 0j)
+            for n in rows:
+                trajectory._reach_on_row(model, energy, x1, 0j, periods, t0, n, tps.x3.real,
+                                         IntegratorConfig())
+    return searched
 
 
 @pytest.fixture(scope="module")
@@ -753,15 +787,16 @@ class TestRootSearch:
     convex hull, de Casteljau halving and bracketed Newton steps."""
 
     def test_table1_search_count(self, table1_root_searches):
-        # 720 in-step searches, of which the whole-step bound rejects 636
+        # 296 in-step searches, of which the whole-step bound rejects 257
         searched, roots_calls = table1_root_searches
         assert roots_calls == 0
-        assert len(searched) <= 84
+        assert len(searched) <= 39
 
-    def test_agrees_with_np_roots_on_table1(self, table1_root_searches):
+    def test_agrees_with_np_roots_on_table1(self, bisected_row_searches):
         # the same roots as np.roots, and each within an ulp of the exact
         # root of the float polynomial, which np.roots misses by up to 16.5
-        searched, _ = table1_root_searches
+        searched = bisected_row_searches
+        assert len(searched) == 84
         found = 0
         for c in searched:
             s = trajectory._first_root(c, trajectory._to_bernstein(c), 0.0, 1.0)
@@ -834,6 +869,49 @@ class TestRootSearch:
             assert abs(tau - r) <= 64 * sys.float_info.epsilon * scale / slope
 
 
+class TestFirstRow:
+    """The row search on synthetic monotone predicates n >= first."""
+
+    @staticmethod
+    def search(lo, hi, first, guess):
+        probes = []
+
+        def found(n):
+            assert lo <= n < hi
+            probes.append(n)
+            return n >= first
+
+        return trajectory._first_row(found, lo, hi, guess), probes
+
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    @given(data=st.data())
+    def test_gallops_to_the_first_true_index(self, data):
+        # ranges up to 1e30 wide; the answer anywhere in them, or nowhere
+        # (first = hi); the guess near the answer, anywhere in the range or
+        # far outside it
+        lo = data.draw(st.integers(-10**30, 10**30))
+        hi = lo + data.draw(st.one_of(st.integers(0, 70), st.integers(0, 10**30)))
+        first = data.draw(st.one_of(st.integers(lo, min(hi, lo + 70)), st.integers(lo, hi)))
+        guess = data.draw(st.one_of(st.integers(first - 70, first + 70), st.integers(lo, hi),
+                                    st.integers(lo - 10**31, hi + 10**31)))
+        n, probes = self.search(lo, hi, first, guess)
+        assert n == first
+        assert len(probes) == len(set(probes))
+        assert len(probes) <= 2 * abs(guess - first).bit_length() + 2
+        if lo < hi:
+            # from the guess clamped into the range
+            start = min(max(guess, lo), hi - 1)
+            assert len(probes) <= 2 * abs(start - first).bit_length() + 2
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(lo=st.integers(-10**30, 10**30), size=st.integers(0, 10**30), data=st.data())
+    def test_bisects_without_a_guess(self, lo, size, data):
+        first = data.draw(st.integers(lo, lo + size))
+        n, probes = self.search(lo, lo + size, first, None)
+        assert n == first
+        assert len(probes) <= size.bit_length()
+
+
 class TestLatticeReduction:
     @pytest.mark.parametrize("g", [0.17888, 0.16099, 0.14311, 0.12522])
     def test_matches_march(self, g):
@@ -843,8 +921,8 @@ class TestLatticeReduction:
 
     @pytest.mark.parametrize("g, first_row", [(0.16099, 30), (0.14311, 199)])
     def test_scan_finds_the_bisected_row(self, g, first_row):
-        # every row below the bisected one fails the predicate and that
-        # row holds it: the predicate is monotone where bisection looks
+        # every row below the one the row search finds fails the predicate
+        # and that row holds it: the predicate is monotone where it looks
         model, energy, x1 = default_start(g)
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
@@ -939,17 +1017,51 @@ class TestLatticeReduction:
         assert t_c == pytest.approx(3.4201096417433727, rel=1e-12)
 
     def test_table1_work_count(self, monkeypatch):
-        # the table's four crossings: 33 row tries, of which the 29 above
-        # row 0 start from the closed-form orbit, and 720 Taylor steps
+        # the table's four crossings: 12 row tries (row 0, the predicted
+        # row and the one below it), 296 Taylor steps, and 17 closed-form
+        # evaluations, 9 for the predictions and 8 for the row starts
         steps = count_steps(monkeypatch)
         calls = {"_reach_on_row": 0, "_orbit_at": 0}
-        for name in calls:
-            counted = call_counter(calls, name, getattr(trajectory, name))
-            monkeypatch.setattr(trajectory, name, counted)
+        monkeypatch.setattr(trajectory, "_reach_on_row",
+                            call_counter(calls, "_reach_on_row", trajectory._reach_on_row))
+        counted = call_counter(calls, "_orbit_at", cubic._orbit_at)
+        for module in (trajectory, cubic):
+            monkeypatch.setattr(module, "_orbit_at", counted)
         compute_table1()
-        assert steps[0] <= 720
-        assert calls["_reach_on_row"] <= 33
-        assert calls["_orbit_at"] <= 29
+        assert steps[0] <= 296
+        assert calls["_reach_on_row"] <= 12
+        assert calls["_orbit_at"] <= 17
+
+    @pytest.mark.parametrize("g, first_row", [
+        (0.17888, 6), (0.16099, 30), (0.14311, 199), (0.12522, 2225)])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_predicted_row_is_the_first_row(self, g, first_row, conjugate):
+        # the conjugate energy's orbit from x1* is the conjugate orbit, with
+        # the same crossing and Im T > 0: its rows run towards -i
+        model, energy, _ = default_start(g)
+        if conjugate:
+            energy = energy.conjugate()
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        assert (periods[0].imag > 0.0) == conjugate
+        t0 = _pole_time(model, tps, tps.x1, 0j)
+        assert _crossing_row(model, periods, t0, tps.x3.real) == first_row
+        t_c = crossing_time(model, energy, tps.x1, 0j)
+        assert math.floor(t_c / periods[0].real) == first_row
+
+    @pytest.mark.parametrize("start", ["x1", "x1 + 0.05i"])
+    def test_sweep_across_the_barrier_top(self, start):
+        # every coupling from 0.14 to 0.2595 in steps of 0.0005 crosses,
+        # the level meeting the barrier top (g ~ 0.2046) included
+        for i in range(240):
+            g = round(0.14 + 0.0005 * i, 10)
+            model, energy, x0 = default_start(g)
+            p0 = 0j
+            if start != "x1":
+                x0 += 0.05j
+                p0 = initial_momentum(model, energy, x0)
+            t_c = crossing_time(model, energy, x0, p0)
+            assert 0.0 < t_c < IntegratorConfig.t_max
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
@@ -1069,11 +1181,6 @@ class TestLatticeReduction:
                 assert abs(value - walked) <= 1e-11 * abs(walked)
 
 
-ROW_2_NEXT_TO_A_POLE = pytest.mark.xfail(
-    strict=True, raises=EnergyDriftExceeded,
-    reason="the first step from row 2's exact start, next to a pole, trips the drift check")
-
-
 class TestJacobiOracle:
     """crossing_time and the closed-form row starts against the orbit of
     JacobiOrbit."""
@@ -1154,25 +1261,31 @@ class TestJacobiOracle:
         t_c = crossing_time(model, energy, x1, 0j)
         assert abs(t_c - jacobi_crossing(SEPARATRIX_G, energy, t_c)) <= 1e-6
 
-    # crossing-time fails at the default tolerance for g = 0.204 and 0.2065:
-    # the bisection tries row 2 first, which starts next to a pole, and the
-    # first step from its exact start already trips the absolute drift
-    # check (|H - E| = 1.7e-5 at 0.204), though row 1 holds the crossing
+    # row 1 holds these crossings, and the row search, started from the
+    # predicted row, never tries row 2, whose start lies next to a pole
     @pytest.mark.parametrize("g, exact", [
-        (0.202, 11.7303650987),
-        pytest.param(0.204, 11.5240083897, marks=ROW_2_NEXT_TO_A_POLE),
-        pytest.param(0.2065, 11.2938313137, marks=ROW_2_NEXT_TO_A_POLE),
+        (0.202, 11.7303650987), (0.204, 11.5240083897), (0.2065, 11.2938313137),
     ])
     def test_crossings_where_the_level_meets_the_barrier_top(self, g, exact):
         model, energy, x1 = default_start(g)
         assert jacobi_crossing(g, energy, exact) == pytest.approx(exact, rel=1e-9)
         assert crossing_time(model, energy, x1, 0j) == pytest.approx(exact, rel=1e-9)
 
+    # the first step from row 2's exact start at g = 0.204, next to a pole,
+    # trips the absolute drift check (|H - E| = 1.7e-5 against 1e-6)
+    @pytest.mark.xfail(strict=True, raises=EnergyDriftExceeded,
+                       reason="the drift limit is absolute, and |x|, |p| are large near a pole")
+    def test_row_next_to_a_pole(self):
+        model, energy, x1 = default_start(0.204)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x1, 0j)
+        trajectory._reach_on_row(model, energy, x1, 0j, periods, t0, 2, tps.x3.real,
+                                 IntegratorConfig())
+
     # the same from x1 + 0.05i, against the crossing at rel_tol 1e-13
     @pytest.mark.parametrize("g, exact", [
-        (0.2015, 11.465620538328322),
-        pytest.param(0.202, 11.416212626449296, marks=ROW_2_NEXT_TO_A_POLE),
-        pytest.param(0.2025, 11.3679894570712, marks=ROW_2_NEXT_TO_A_POLE),
+        (0.2015, 11.465620538328322), (0.202, 11.416212626449296), (0.2025, 11.3679894570712),
     ])
     def test_complex_starts_where_the_level_meets_the_barrier_top(self, g, exact):
         model, energy, x1 = default_start(g)
