@@ -15,9 +15,10 @@ a real root and a conjugate pair for k > 0.
 
 The orbits at energy E are elliptic functions of complex time, and the
 crossing search's whole lattice geometry lives here in private helpers:
-the period lattice and the poles from Carlson's symmetric integral R_F,
-the number of rows of real time below the first line of poles, the row
-on which the orbit is predicted to first reach x3, and the orbit's state
+the period lattice and the poles from Carlson's symmetric integral R_F;
+from one level of the first line of poles above real time, the number
+of rows of real time below it and the row on which the orbit is
+predicted to first reach x3 (``_row_bracket``); and the orbit's state
 x, p at any complex time from Weierstrass's function on the reduced
 lattice, summed as a cosecant series (DLMF 23.8, 23.18).
 
@@ -401,52 +402,49 @@ def _lattice_b(periods: tuple[complex, complex], z: complex) -> float:
     return (z * T.conjugate()).imag / (T_prime * T.conjugate()).imag
 
 
-def _rows_below_poles(periods: tuple[complex, complex], pole: complex) -> int:
-    """The number of rows n = 0, 1, ... that lie below the first line of
-    poles.
+def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: complex,
+                 target: float, t_max: float) -> tuple[int, int | None]:
+    """The number of rows n = 0, 1, ... to search for the first on which
+    Re x reaches ``target``, and the predicted first row (n >= 1, or
+    None), for the orbit with a pole at t0.
 
     Real time n Re T + s is the complex time s - i n Im T ("row n"), and
     row n's segment -i n Im T + [0, Re T) covers b in [n delta, (n + 1)
     delta) with delta = b(-i Im T), while the poles sit on the lines
-    b = b(pole) mod 1.  The rows counted run up to the one that meets the
-    nearest such line (at least row 0, real time itself, and only row 0
-    for a real T, whose orbit is periodic).  For the start at rest at x1
-    the pole is T'/2 and the count is about (|Im T'|/2) / |Im T|.
-    """
-    if periods[0].imag == 0.0:
-        return 1
-    delta = _lattice_b(periods, complex(0.0, -periods[0].imag))
-    level = (_lattice_b(periods, pole) / delta) % (1.0 / abs(delta))
-    return max(1, math.ceil(level))
+    b = b(t0) mod 1.  The rows searched run up to the one that meets the
+    nearest such line, at level b / delta (at least row 0, real time
+    itself, and only row 0 for a real T, whose orbit is periodic), and
+    stop at the horizon t_max.  For the start at rest at x1 the pole is
+    T'/2 and the count is about (|Im T'|/2) / |Im T|.
 
-
-def _crossing_row(model: CubicModel, periods: tuple[complex, complex], t0: complex,
-                  target: float) -> int | None:
-    """The predicted first row n >= 1 (see ``_rows_below_poles``) on which
-    Re x reaches ``target``, for the orbit with a pole at t0, or None if
-    the prediction fails.
-
-    The first line of poles that the rows approach is modelled alone:
-    near it x = 2 c**2 (csc**2(c w) - 1/3) / g + 1/(6 g) with c = pi/|T|
-    and w the time from a pole P on it, and along a line at scaled
-    distance y from it the largest Re csc**2 is coth**2(2 y) / 2, at
-    sin**2(c u) = sinh**2 y (cosh 2y + 2) / cosh 2y.  So Re x first
-    reaches the target at y* = artanh(1 / sqrt(2 R)) / 2 with
-    R = 1/3 + g (target - 1/(6 g)) / (2 c**2), left of P by u*.  From
+    The prediction needs more than one row.  The line of poles at that
+    level is modelled alone: near it x = 2 c**2 (csc**2(c w) - 1/3) / g +
+    1/(6 g) with c = pi/|T| and w the time from a pole P on it, and along
+    a line at scaled distance y from it the largest Re csc**2 is
+    coth**2(2 y) / 2, at sin**2(c u) = sinh**2 y (cosh 2y + 2) / cosh 2y.
+    So Re x first reaches the target at y* = artanh(1 / sqrt(2 R)) / 2
+    with R = 1/3 + g (target - 1/(6 g)) / (2 c**2), left of P by u*.  From
     there Newton's method on (Re p, Re x - target) = 0 in (Re z, Im z),
-    with x and p from ``_orbit_at`` and x'' = -x + 3 g x**2, finds the
+    with x and p from ``_orbit_at`` and x'' from the force, finds the
     complex time z at which the maximum of Re x along real time touches
-    the target; it stops once Im z moves by less than 1/100 of a row.
-    Moved by whole periods T into 0 <= Re z < Re T, z lies Im z / -Im T
-    rows from real time, since row n there is the line Im z = -n Im T,
-    so the first row at or past it is ceil(Im z / -Im T).
+    the target; it stops once Im z moves by less than 1/100 of a row, and
+    the prediction is None if it does not within 8 steps.  Moved by whole
+    periods T into 0 <= Re z < Re T, z lies Im z / -Im T rows from real
+    time, so the first row at or past it is ceil(Im z / -Im T).
     """
     T, T_prime = periods
+    rows = math.ceil(t_max / T.real)
+    if T.imag == 0.0:
+        return min(rows, 1), None
+    delta = _lattice_b(periods, complex(0.0, -T.imag))
+    b = _lattice_b(periods, t0)
+    level = (b / delta) % (1.0 / abs(delta))
+    rows = min(rows, max(1, math.ceil(level)))
+    if rows <= 1:
+        return rows, None
     g = model.g
     try:
-        delta = _lattice_b(periods, complex(0.0, -T.imag))
-        b = _lattice_b(periods, t0)
-        pole = t0 + round((b / delta) % (1.0 / abs(delta)) * delta - b) * T_prime
+        pole = t0 + round(level * delta - b) * T_prime
         pole -= math.floor(pole.real / T.real) * T
         c = math.pi / abs(T)
         r = 1.0 / 3.0 + g * (target - 1.0 / (6.0 * g)) / (2.0 * c * c)
@@ -457,7 +455,7 @@ def _crossing_row(model: CubicModel, periods: tuple[complex, complex], t0: compl
         z = pole - complex(0.0, math.copysign(y / c, -T.imag)) - u
         for _ in range(8):
             x, p = _orbit_at(model, periods, t0, z)
-            ddx = -x + 3.0 * g * x * x
+            ddx = model.force(x)
             # d/d(Re z) of (x, p) is (p, x''), and d/d(Im z) is i times it
             f, h = p.real, x.real - target
             det = ddx.imag * p.real - ddx.real * p.imag
@@ -465,10 +463,10 @@ def _crossing_row(model: CubicModel, periods: tuple[complex, complex], t0: compl
             z -= step
             if abs(step.imag) < 0.01 * abs(T.imag):
                 z -= math.floor(z.real / T.real) * T
-                return math.ceil(z.imag / -T.imag)
+                return rows, math.ceil(z.imag / -T.imag)
     except (ArithmeticError, ValueError):
         pass
-    return None
+    return rows, None
 
 
 def _orbit_at(model: CubicModel, periods: tuple[complex, complex], t0: complex, z: complex):

@@ -47,12 +47,13 @@ part (``cubic._periods``), so real time n Re T + s is the complex time
 s - i n Im T: after n oscillations the orbit runs along row n, a line
 n |Im T| closer to the first row of poles.  Re x reaches Re x3 once a
 row comes close enough to it.  ``crossing_time`` searches n for the
-first such row, below the poles and within the horizon: the closed form
-predicts it (``cubic._crossing_row``), and a galloping search from the
-prediction confirms it.  Each try starts row n from the closed-form
-state at -i n Im T (``cubic._orbit_at``, Weierstrass's function on the
-reduced lattice) and marches one period of real time from there, so its
-cost does not grow with t_c or t_max: table1's four crossings take 296
+first such row, below the poles and within the horizon: one lattice
+call (``cubic._row_bracket``) bounds the rows and predicts the row from
+the closed form, and a galloping search from the prediction confirms
+it.  Each try starts row n from the closed-form state at -i n Im T
+(``cubic._orbit_at``, Weierstrass's function on the reduced lattice)
+and marches one period of real time from there, so its cost does not
+grow with t_c or t_max: table1's four crossings take 296
 Taylor steps in 12 row tries and 17 closed-form evaluations.
 
 Everything here is pure and reentrant: independent integrations may run
@@ -71,8 +72,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cubic import (_check_position, _crossing_row, _orbit_at, _periods, _pole_time,
-                    _rows_below_poles, turning_points)
+from .cubic import _check_position, _orbit_at, _periods, _pole_time, _row_bracket, turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
@@ -564,20 +564,29 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
 
     t_c = n Re T + s for the first row n (see the module docstring) on
     which Re x reaches Re x3 at some s in [0, Re T).  Row 0, the first
-    period of real time, is tried first.  The rows above it, up to the
-    first row of poles and the horizon, are searched from the row that
-    the closed form predicts (``cubic._crossing_row``), by steps of 1,
-    2, 4, ... rows away from it until the first row is bracketed, then
-    by bisection (``_first_row``).  From the first row that reaches Re x3
-    on every row does, so any prediction gives the same row, and a
-    failed one falls back to bisecting them all.  The orbit's pole time
-    t0 (``cubic._pole_time``) gives the prediction, the row bound and
-    each row's closed-form start at -i n Im T; each try marches one
-    period from its start with the whole-step root search.  A real
-    period (Im T == 0.0 exactly, as for every real energy below the
-    barrier top) makes the orbit periodic, so row 0 alone decides.  A
-    real start at a real energy below the barrier top moves on the real
-    axis between x1 and x2, so it never crosses and no step is taken.
+    period of real time, is tried first.  Only if it misses does
+    ``cubic._row_bracket`` give the rows above it, up to the first row
+    of poles and the horizon, and the row that the closed form predicts;
+    they are searched from the prediction by steps of 1, 2, 4, ... rows
+    away from it until the first row is bracketed, then by bisection
+    (``_first_row``).  From row 1 on, every row after the first that
+    reaches Re x3 does too, so any prediction gives the same row, and a
+    failed one falls back to bisecting them all.  Row 0 is outside that
+    order: it can cross on the start's own first excursion, which the
+    shifted rows no longer reach, so it goes first.
+
+    Row 0 is marched from the given (x0, p0).  Rows n >= 1 start from
+    the closed-form state at -i n Im T of the orbit with its pole at t0
+    (``cubic._pole_time``), which sees only x0 and the branch of p0: they
+    follow the orbit on the exact energy shell through x0, so a crossing
+    on row n >= 1 does not depend on |p0| within the slack of
+    1e-10 max(1, |E|) that ``_check_shell`` allows the start.  Each try
+    marches one period from its start with the whole-step root search.
+    A real period (Im T == 0.0 exactly, as for every real energy below
+    the barrier top) makes the orbit periodic, so row 0 alone decides.
+    A real start at a real energy below the barrier top moves on the
+    real axis between x1 and x2, so it never crosses and no step is
+    taken.
 
     Raises
     ------
@@ -593,21 +602,19 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     if all(z.imag == 0.0 for z in (E, x0, p0, *tps)):
         raise NoCrossing(missed)
     periods = _periods(model, tps)
-    T = periods[0]
     t0 = _pole_time(model, tps, x0, p0)
-    rows = min(math.ceil(cfg.t_max / T.real), _rows_below_poles(periods, t0))
 
     @functools.cache
     def reach(n):
         return _reach_on_row(model, E, x0, p0, periods, t0, n, target, cfg)
 
-    n = 0
+    n, rows = 0, 1
     if reach(0) is None:
-        guess = _crossing_row(model, periods, t0, target) if rows > 1 else None
+        rows, guess = _row_bracket(model, periods, t0, target, cfg.t_max)
         n = _first_row(lambda row: reach(row) is not None, 1, rows, guess)
-    if n >= rows or n * T.real + reach(n) > cfg.t_max:
+    if n >= rows or n * periods[0].real + reach(n) > cfg.t_max:
         raise NoCrossing(missed)
-    return n * T.real + reach(n)
+    return n * periods[0].real + reach(n)
 
 
 def reversibility_error(

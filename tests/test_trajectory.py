@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 
 from semiclassics import cubic, trajectory
 from semiclassics.cli import compute_table1, main as cli_main
-from semiclassics.cubic import _crossing_row, _orbit_at, _periods, _pole_time, _rows_below_poles
+from semiclassics.cubic import _orbit_at, _periods, _pole_time, _row_bracket
 from tests.test_cubic import SEPARATRIX_ENERGIES, SEPARATRIX_G
 from semiclassics import (
     CubicModel,
@@ -1018,19 +1018,20 @@ class TestLatticeReduction:
 
     def test_table1_work_count(self, monkeypatch):
         # the table's four crossings: 12 row tries (row 0, the predicted
-        # row and the one below it), 296 Taylor steps, and 17 closed-form
-        # evaluations, 9 for the predictions and 8 for the row starts
+        # row and the one below it), 296 Taylor steps, 17 closed-form
+        # evaluations, 9 for the predictions and 8 for the row starts, and
+        # one row bracket for each crossing, after row 0 misses
         steps = count_steps(monkeypatch)
-        calls = {"_reach_on_row": 0, "_orbit_at": 0}
-        monkeypatch.setattr(trajectory, "_reach_on_row",
-                            call_counter(calls, "_reach_on_row", trajectory._reach_on_row))
+        calls = {"_reach_on_row": 0, "_orbit_at": 0, "_row_bracket": 0}
+        for name in ("_reach_on_row", "_row_bracket"):
+            monkeypatch.setattr(trajectory, name,
+                                call_counter(calls, name, getattr(trajectory, name)))
         counted = call_counter(calls, "_orbit_at", cubic._orbit_at)
         for module in (trajectory, cubic):
             monkeypatch.setattr(module, "_orbit_at", counted)
         compute_table1()
-        assert steps[0] <= 296
-        assert calls["_reach_on_row"] <= 12
-        assert calls["_orbit_at"] <= 17
+        assert steps[0] == 296
+        assert calls == {"_reach_on_row": 12, "_orbit_at": 17, "_row_bracket": 4}
 
     @pytest.mark.parametrize("g, first_row", [
         (0.17888, 6), (0.16099, 30), (0.14311, 199), (0.12522, 2225)])
@@ -1045,7 +1046,7 @@ class TestLatticeReduction:
         periods = _periods(model, tps)
         assert (periods[0].imag > 0.0) == conjugate
         t0 = _pole_time(model, tps, tps.x1, 0j)
-        assert _crossing_row(model, periods, t0, tps.x3.real) == first_row
+        assert _row_bracket(model, periods, t0, tps.x3.real, 2e5)[1] == first_row
         t_c = crossing_time(model, energy, tps.x1, 0j)
         assert math.floor(t_c / periods[0].real) == first_row
 
@@ -1062,6 +1063,41 @@ class TestLatticeReduction:
                 p0 = initial_momentum(model, energy, x0)
             t_c = crossing_time(model, energy, x0, p0)
             assert 0.0 < t_c < IntegratorConfig.t_max
+
+    def test_row_zero_goes_first(self):
+        # the row predicate is monotone only from row 1 on: row 0 can cross
+        # on the start's own first excursion, which the shifted rows no
+        # longer reach, so rows 1-3 miss and the predicted row, 118 of the
+        # 142 below the poles, would give t_c ~ 840.46
+        model, energy, _ = default_start(0.1545)
+        x0 = 2.5 + 0j
+        p0 = initial_momentum(model, energy, x0, -1)
+        assert crossing_time(model, energy, x0, p0) == pytest.approx(1.4968536432029749,
+                                                                      rel=1e-12)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x0, p0)
+        assert _row_bracket(model, periods, t0, tps.x3.real, 2e5) == (142, 118)
+        args = (model, energy, x0, p0, periods, t0)
+        for n in (1, 2, 3):
+            assert trajectory._reach_on_row(*args, n, tps.x3.real, IntegratorConfig()) is None
+
+    def test_ratio_turns_at_the_barrier_top(self):
+        # t_c falls all the way from g = 0.05 to 0.26, but t_c/tau falls
+        # only until Re E0 = 1/2 - 11 g**2/8 meets the barrier top
+        # 1/(54 g**2), near g = 0.2046; past it the level is above the
+        # barrier, t_c falls slowly and tau fast, so the ratio rises
+        grid = [round(0.05 + 0.01 * i, 10) for i in range(22)]
+        rows = compute_table1(grid, IntegratorConfig(t_max=1e30))
+        t_c = [row.t_c for row in rows]
+        ratio = [row.ratio for row in rows]
+        turn = grid.index(0.2)
+        assert all(a > b for a, b in zip(t_c, t_c[1:]))
+        assert all(a > b for a, b in zip(ratio[:turn], ratio[1:turn + 1]))
+        assert all(a < b for a, b in zip(ratio[turn:], ratio[turn + 1:]))
+        assert (ratio[0], ratio[turn], ratio[-1]) == pytest.approx((351.4, 2.41, 5.30), rel=1e-3)
+        for g, below in ((0.2, True), (0.21, False)):
+            assert (cubic.ground_state_energy(g) < CubicModel(g).barrier_height) == below
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
@@ -1172,7 +1208,7 @@ class TestLatticeReduction:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x0, p0)
-        rows = _rows_below_poles(periods, t0)
+        rows = _row_bracket(model, periods, t0, tps.x3.real, 1e300)[0]
         cfg = IntegratorConfig(rel_tol=1e-13)
         for n in (1, rows // 2, rows - 1):
             z = complex(0.0, -n * periods[0].imag)
@@ -1194,7 +1230,7 @@ class TestJacobiOracle:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
-        rows = _rows_below_poles(periods, t0)
+        rows = _row_bracket(model, periods, t0, tps.x3.real, 1e300)[0]
         crossing_row = math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real)
         orbit = jacobi_orbit(g, energy)
         for n in sorted({*range(1, rows, max(1, rows // 20)), crossing_row, rows - 1} - {0}):
