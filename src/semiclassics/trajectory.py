@@ -20,10 +20,10 @@ order is ceil(1 - ln(eps)/2), and the step is rho/e**2, with the radius
 rho estimated from the last two coefficients relative to the state
 norm; the absolute tolerance, scaled by the same factor, floors the
 local error target.  The
-recurrence (each coefficient's index pairs, middle index and factor),
-the exponents of the radius estimate and the drift limit are tabulated
-once per run of the stepper, so a step does only the arithmetic, in the
-order of the plain loop over j < k - j.
+recurrence (each coefficient's index pairs, middle index and factor) is
+tabulated once per order, and the exponents of the radius estimate and
+the drift limit once per run of the stepper, so a step does only the
+arithmetic, in the order of the plain loop over j < k - j.
 
 Each step's polynomial is its own dense output: the samples of
 ``integrate`` are evaluated on it, a block of samples at a time, by one
@@ -206,6 +206,19 @@ def _at(xs, tau):
     return x, p
 
 
+@functools.cache
+def _recurrence(order):
+    """The recurrence for x_{k+2}, k < order - 1: for each k, the pairs
+    (j, k - j) with j < k - j of the Cauchy product (x**2)_k, each product
+    taken once, the middle index of an even k, and the factor
+    1/((k + 1)(k + 2))."""
+    return tuple(
+        (k, tuple((j, k - j) for j in range((k + 1) // 2)), k // 2 if k % 2 == 0 else None,
+         1.0 / ((k + 1) * (k + 2)))
+        for k in range(order - 1)
+    )
+
+
 def _steps(model, energy, x, p, t_end, cfg):
     """Taylor steps of x'' = -x + 3 g x**2 from (x, p) at t = 0 through
     the real times 0 <= t <= t_end.
@@ -221,14 +234,8 @@ def _steps(model, energy, x, p, t_end, cfg):
     # defaults, 10 at rel_tol = 1e-13
     scale_floor = _EPS_PER_TOL * cfg.abs_tol / eps
     g3 = 3.0 * model.g
-    # the recurrence for x_{k+2}: the pairs (j, k - j) with j < k - j of
-    # the Cauchy product (x**2)_k, each product taken once, the middle
-    # index of an even k, and the factor 1/((k + 1)(k + 2))
-    terms = [
-        (k, [(j, k - j) for j in range((k + 1) // 2)], k // 2 if k % 2 == 0 else None,
-         1.0 / ((k + 1) * (k + 2)))
-        for k in range(order - 1)
-    ]
+    potential = model.potential
+    terms = _recurrence(order)
     exp_prev, exp_last = 1.0 / (order - 1), 1.0 / order
     limit = DRIFT_FAILURE_LIMIT * max(1.0, abs(energy))
     e2 = math.exp(2.0)
@@ -256,7 +263,7 @@ def _steps(model, energy, x, p, t_end, cfg):
             raise StepSizeUnderflow(f"step size {h:.3e} at t = {t:.17g} no longer advances time")
 
         x, p = _at(xs, h)
-        drift = abs(hamiltonian(model, x, p) - energy)
+        drift = abs(0.5 * p * p + potential(x) - energy)
         if not drift <= limit:
             _check_drift(energy, drift)
         yield t, h, xs
@@ -267,8 +274,10 @@ def _first_reach(xs, h, target):
     """First tau in [0, h] at which Re x(tau) = target on the step
     polynomial ``xs``, or None; 0.0 if Re x already starts at or past it.
 
-    The step is skipped when Re x_0 + sum_{k>=1} |Re x_k| h**k, a bound
-    on Re x over the whole step, stays below the target.  Otherwise the
+    The step is skipped when Re x_0 + sum_{k>=1} max(Re x_k, 0) h**k
+    stays below the target: every tau**k with 0 <= tau <= h is at most
+    h**k and never negative, so a term with Re x_k < 0 can only lower
+    Re x, and that sum bounds Re x over the whole step.  Otherwise the
     polynomial a(s) = Re x(h s) - target is searched on s in [0, 1] in
     its Bernstein form, whose coefficients bound a from above and below
     on their window (the convex hull property): a window whose
@@ -281,16 +290,16 @@ def _first_reach(xs, h, target):
     the target inside the step is found even when both step ends lie
     below it.
     """
-    a = [c.real for c in xs]
-    a[0] -= target
-    if a[0] >= 0.0:
+    a0 = xs[0].real - target
+    if a0 >= 0.0:
         return 0.0
     bound = 0.0
-    for c in a[:0:-1]:
-        bound = (bound + abs(c)) * h
-    if a[0] + bound < 0.0:
+    for c in xs[:0:-1]:
+        r = c.real
+        bound = bound * h if r <= 0.0 else (bound + r) * h
+    if a0 + bound < 0.0:
         return None
-    c = [ak * h**k for k, ak in enumerate(a)]
+    c = [a0, *(xk.real * h**k for k, xk in enumerate(xs[1:], 1))]
     s = _first_root(c, _to_bernstein(c), 0.0, 1.0)
     return None if s is None else h * s
 
@@ -591,16 +600,21 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     Raises
     ------
     NoCrossing
-        If the trajectory stays left of Re x3 for all of cfg.t_max.
+        If the trajectory stays left of Re x3 for all of cfg.t_max.  The
+        message names the cause: a real start at a real energy below the
+        barrier top, a real period whose first period misses, the rows
+        running out at the first line of poles before the horizon, or
+        the horizon itself.
     """
     cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg)
     tps = turning_points(model, E)
     target = tps.x3.real
     if x0.real >= target:
         return 0.0
-    missed = f"Re x never reached Re x3 = {target:.6g} within t_max = {cfg.t_max:g}"
+    missed = f"Re x never reached Re x3 = {target:.6g}"
     if all(z.imag == 0.0 for z in (E, x0, p0, *tps)):
-        raise NoCrossing(missed)
+        raise NoCrossing(f"{missed}: a real start at a real energy below the barrier top "
+                         "stays between x1 and x2")
     periods = _periods(model, tps)
     t0 = _pole_time(model, tps, x0, p0)
 
@@ -612,8 +626,13 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     if reach(0) is None:
         rows, guess = _row_bracket(model, periods, t0, target, cfg.t_max)
         n = _first_row(lambda row: reach(row) is not None, 1, rows, guess)
+    if n >= rows and periods[0].imag == 0.0:
+        raise NoCrossing(f"{missed}: the period T = {periods[0].real:.6g} is real, so the "
+                         "orbit repeats its first period")
+    if n >= rows and rows * periods[0].real < cfg.t_max:
+        raise NoCrossing(f"{missed} on the {rows} rows below the first line of poles")
     if n >= rows or n * periods[0].real + reach(n) > cfg.t_max:
-        raise NoCrossing(missed)
+        raise NoCrossing(f"{missed} within t_max = {cfg.t_max:g}")
     return n * periods[0].real + reach(n)
 
 

@@ -327,17 +327,26 @@ BISECTED_ROWS = {
 
 @pytest.fixture(scope="module")
 def bisected_row_searches():
-    """The scaled step polynomials that reach the Bernstein search on the
-    rows of BISECTED_ROWS, each marched by _reach_on_row."""
-    searched = []
+    """The step polynomials of the rows of BISECTED_ROWS, each marched by
+    _reach_on_row, that pass the two-sided whole-step bound
+    Re x_0 + sum_{k>=1} |Re x_k| h**k >= target, scaled to s = tau / h,
+    each with whether _first_reach itself passes them to the Bernstein
+    search: the corpus does not depend on the bound _first_reach uses."""
+    reached = []
+    first_reach = trajectory._first_reach
     to_bernstein = trajectory._to_bernstein
 
-    def recording(c):
-        searched.append(list(c))
+    def recording_reach(xs, h, target):
+        reached.append([xs, h, target, False])
+        return first_reach(xs, h, target)
+
+    def recording_bernstein(c):
+        reached[-1][-1] = True
         return to_bernstein(c)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trajectory, "_to_bernstein", recording)
+        patch.setattr(trajectory, "_first_reach", recording_reach)
+        patch.setattr(trajectory, "_to_bernstein", recording_bernstein)
         for g, rows in BISECTED_ROWS.items():
             model, energy, x1 = default_start(g)
             tps = turning_points(model, energy)
@@ -346,6 +355,15 @@ def bisected_row_searches():
             for n in rows:
                 trajectory._reach_on_row(model, energy, x1, 0j, periods, t0, n, tps.x3.real,
                                          IntegratorConfig())
+    searched = []
+    for xs, h, target, bernstein in reached:
+        a = [c.real for c in xs]
+        a[0] -= target
+        bound = 0.0
+        for c in a[:0:-1]:
+            bound = (bound + abs(c)) * h
+        if a[0] < 0.0 <= a[0] + bound:
+            searched.append(([ak * h**k for k, ak in enumerate(a)], bernstein))
     return searched
 
 
@@ -787,43 +805,58 @@ class TestRootSearch:
     convex hull, de Casteljau halving and bracketed Newton steps."""
 
     def test_table1_search_count(self, table1_root_searches):
-        # 296 in-step searches, of which the whole-step bound rejects 257
+        # 296 in-step searches, of which the whole-step bound rejects 278
         searched, roots_calls = table1_root_searches
         assert roots_calls == 0
-        assert len(searched) <= 39
+        assert len(searched) == 18
 
     def test_agrees_with_np_roots_on_table1(self, bisected_row_searches):
         # the same roots as np.roots, and each within an ulp of the exact
-        # root of the float polynomial, which np.roots misses by up to 16.5
+        # root of the float polynomial, which np.roots misses by up to 16.5;
+        # what the one-sided bound of _first_reach skips has no root either
         searched = bisected_row_searches
         assert len(searched) == 84
+        assert sum(bernstein for _, bernstein in searched) == 42
         found = 0
-        for c in searched:
+        for c, bernstein in searched:
             s = trajectory._first_root(c, trajectory._to_bernstein(c), 0.0, 1.0)
             reference = np_roots_first_reach(c)
             assert (s is None) == (reference is None)
+            if not bernstein:
+                assert reference is None
             if s is not None:
                 found += 1
                 assert abs(s - exact_root(c, reference)) <= sys.float_info.epsilon
         assert found == 15
 
-    @pytest.mark.parametrize("lift", [1e-12, -1e-12], ids=["above", "below"])
-    def test_grazing_excursion(self, lift):
+    @pytest.mark.parametrize("lift, at_the_end", [
+        (1e-12, False), (-1e-12, False), (1e-12, True), (-1e-12, True)],
+        ids=["above", "below", "above-at-the-end", "below-at-the-end"])
+    def test_grazing_excursion(self, lift, at_the_end):
         # Re x(tau) - target = lift max|a_k| - (tau - 0.6)**2 (1 + tau**13 / 100),
         # of degree 15: both step ends sit at least 0.16 below the target,
         # the maximum at tau = 0.6 lies lift max|a_k| from it, and "below"
-        # is the "above" polynomial lowered by 2e-12 max|a_k|
-        quadratic = [0.36, -1.2, 1.0]
-        a = [0.0] * 16
-        for k, q in enumerate(quadratic):
-            a[k] -= q
-            a[k + 13] -= q / 100.0
+        # is the "above" polynomial lowered by 2e-12 max|a_k|.  At the end:
+        # lift max|a_k| - 15/16 + (tau + tau**2 + ... + tau**15) / 16, with
+        # a_1 ... a_15 >= 0, rises to its maximum at the step end tau = 1,
+        # where the whole-step bound equals it; the slope there is 7.5
+        if at_the_end:
+            a = [-15.0 / 16.0] + [1.0 / 16.0] * 15
+        else:
+            quadratic = [0.36, -1.2, 1.0]
+            a = [0.0] * 16
+            for k, q in enumerate(quadratic):
+                a[k] -= q
+                a[k + 13] -= q / 100.0
         a[0] += lift * max(map(abs, a))
         target = 1.3
         xs = [complex(ak + (target if k == 0 else 0.0), 0.1 * k) for k, ak in enumerate(a)]
         tau = trajectory._first_reach(xs, 1.0, target)
         if lift < 0:
             assert tau is None
+        elif at_the_end:
+            end = (xs[0].real - target) + 15.0 / 16.0  # a(1), exact in binary
+            assert tau == pytest.approx(1.0 - end / 7.5, abs=2 * sys.float_info.epsilon)
         else:
             assert 0.6 - tau == pytest.approx(math.sqrt(1.2e-12), rel=1e-4)
 
@@ -958,9 +991,13 @@ class TestLatticeReduction:
             ["crossing-time", "--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e15"]
         )
         assert code == 1
-        assert "never reached" in capsys.readouterr().err
-        # the orbit is periodic: one period decides
-        assert steps[0] <= 100
+        err = capsys.readouterr().err
+        assert "never reached" in err
+        # the start at rest at x1 stays on the real axis: not even one
+        # period is marched, and the horizon is not blamed
+        assert "stays between x1 and x2" in err
+        assert "within t_max" not in err
+        assert steps[0] == 0
 
     @pytest.mark.parametrize("below_top", [1e-9, 1e-12])
     def test_real_energy_near_the_barrier_top(self, monkeypatch, below_top):
@@ -1098,6 +1135,31 @@ class TestLatticeReduction:
         assert (ratio[0], ratio[turn], ratio[-1]) == pytest.approx((351.4, 2.41, 5.30), rel=1e-3)
         for g, below in ((0.2, True), (0.21, False)):
             assert (cubic.ground_state_energy(g) < CubicModel(g).barrier_height) == below
+
+    @pytest.mark.parametrize("g, energy, offset, t_max, cause", [
+        (0.1, 0.3 + 0j, 0j, 1e15,
+         ": a real start at a real energy below the barrier top stays between x1 and x2"),
+        (0.1, 0.3 + 0j, 1e-3j, 1e15,
+         ": the period T = 6.43835 is real, so the orbit repeats its first period"),
+        (0.16099, None, 0j, 1e300, " on the 45 rows below the first line of poles"),
+        (0.1, None, 0j, 2e5, " within t_max = 200000"),
+    ], ids=["real start", "real period", "poles", "horizon"])
+    def test_no_crossing_names_its_cause(self, monkeypatch, g, energy, offset, t_max, cause):
+        # no scanned start runs out of rows at the first line of poles
+        # before it crosses (a row that close to a pole passes Re x3), so
+        # for that case every row from 1 on is made to miss
+        if "poles" in cause:
+            reach_on_row = trajectory._reach_on_row
+            monkeypatch.setattr(trajectory, "_reach_on_row",
+                                lambda *args: reach_on_row(*args) if args[6] == 0 else None)
+        model, default_energy, _ = default_start(g)
+        energy = energy or default_energy
+        tps = turning_points(model, energy)
+        x0 = tps.x1 + offset
+        p0 = initial_momentum(model, energy, x0) if offset else 0j
+        with pytest.raises(NoCrossing) as info:
+            crossing_time(model, energy, x0, p0, IntegratorConfig(t_max=t_max))
+        assert str(info.value) == f"Re x never reached Re x3 = {tps.x3.real:.6g}{cause}"
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
         # the g = 0.1 row crosses near t = 3.1e6, far past t_max = 2e5
