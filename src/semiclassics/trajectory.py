@@ -19,11 +19,11 @@ eps = _EPS_PER_TOL * rel_tol (no smaller than the rounding unit), the
 order is ceil(1 - ln(eps)/2), and the step is rho/e**2, with the radius
 rho estimated from the last two coefficients relative to the state
 norm; the absolute tolerance, scaled by the same factor, floors the
-local error target.  The
-recurrence (each coefficient's index pairs, middle index and factor) is
-tabulated once per order, and the exponents of the radius estimate and
-the drift limit once per run of the stepper, so a step does only the
-arithmetic, in the order of the plain loop over j < k - j.
+local error target.  The recurrence is compiled once per order, on the
+first step at that order, into straight-line code (``_recurrence``),
+and the exponents of the radius estimate and the drift limit are set
+once per run of the stepper, so a step does only the arithmetic, in the
+order of the plain loop over j < k - j.
 
 Each step's polynomial is its own dense output: the samples of
 ``integrate`` are evaluated on it, a block of samples at a time, by one
@@ -208,15 +208,32 @@ def _at(xs, tau):
 
 @functools.cache
 def _recurrence(order):
-    """The recurrence for x_{k+2}, k < order - 1: for each k, the pairs
-    (j, k - j) with j < k - j of the Cauchy product (x**2)_k, each product
-    taken once, the middle index of an even k, and the factor
-    1/((k + 1)(k + 2))."""
-    return tuple(
-        (k, tuple((j, k - j) for j in range((k + 1) // 2)), k // 2 if k % 2 == 0 else None,
-         1.0 / ((k + 1) * (k + 2)))
-        for k in range(order - 1)
-    )
+    """The function (x, p, g3) -> [x_0, ..., x_order] of the recurrence
+    for g3 = 3 g, compiled once per order from straight-line source.
+
+    For each k < order - 1 the source reads
+
+        s = 0j + x0 * x{k} + x1 * x{k-1} + ...   (pairs j < k - j)
+        s = s + s + x{k/2} * x{k/2}              (the middle term, even k)
+        x{k+2} = (g3 * s - x{k}) * 1/((k + 1)(k + 2))
+
+    with the factor written as its float's repr: the operations, in the
+    order of a loop over the pairs, without the loop's indexing.  The sum
+    starts from 0j, which makes a -0.0 part of the first product +0.0:
+    the signs of zeros reach the samples and the CSV bytes.  Only
+    integer indices and float reprs go into the source.
+    """
+    lines = ["def recurrence(x0, x1, g3):"]
+    for k in range(order - 1):
+        pairs = "".join(f" + x{j} * x{k - j}" for j in range((k + 1) // 2))
+        middle = f" + x{k // 2} * x{k // 2}" if k % 2 == 0 else ""
+        lines += [f"    s = 0j{pairs}",
+                  f"    s = s + s{middle}",
+                  f"    x{k + 2} = (g3 * s - x{k}) * {1.0 / ((k + 1) * (k + 2))!r}"]
+    lines.append(f"    return [{', '.join(f'x{k}' for k in range(order + 1))}]")
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<Taylor recurrence of order {order}>", "exec"), namespace)
+    return namespace["recurrence"]
 
 
 def _steps(model, energy, x, p, t_end, cfg):
@@ -235,24 +252,13 @@ def _steps(model, energy, x, p, t_end, cfg):
     scale_floor = _EPS_PER_TOL * cfg.abs_tol / eps
     g3 = 3.0 * model.g
     potential = model.potential
-    terms = _recurrence(order)
+    coefficients = _recurrence(order)
     exp_prev, exp_last = 1.0 / (order - 1), 1.0 / order
     limit = DRIFT_FAILURE_LIMIT * max(1.0, abs(energy))
     e2 = math.exp(2.0)
     t = 0.0
     while t < t_end:
-        xs = [x, p]
-        for k, pairs, middle, factor in terms:
-            # from 0j, which makes a -0.0 part of the first product +0.0:
-            # the signs of zeros reach the samples and the CSV bytes
-            s = 0j
-            for j, i in pairs:
-                s += xs[j] * xs[i]
-            s += s
-            if middle is not None:
-                s += xs[middle] * xs[middle]
-            xs.append((g3 * s - xs[k]) * factor)
-
+        xs = coefficients(x, p, g3)
         scale = max(abs(x), abs(p), scale_floor)
         inv_rho = max((abs(xs[-2]) / scale) ** exp_prev, (abs(xs[-1]) / scale) ** exp_last)
         remaining = t_end - t

@@ -140,3 +140,23 @@ def test_cli_import_builds_no_parser():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out.strip() == "0"
+
+
+def test_set_up_compiles_no_recurrence():
+    # the stepper's recurrence is compiled on the first Taylor step, so
+    # importing the CLI and running a command that never steps build none
+    root = os.path.dirname(os.path.dirname(semiclassics.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io\n"
+        "import semiclassics.cli\n"
+        "from semiclassics import trajectory\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = semiclassics.cli.main(['tau', '--g', '0.1'])\n"
+        "print(code, trajectory._recurrence.cache_info().currsize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert out.split() == ["0", "0"]

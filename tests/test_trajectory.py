@@ -196,11 +196,39 @@ def per_sample_dense_output(model, energy, x0, p0, cfg):
     return x, p
 
 
+def tabulated_recurrence(order):
+    """The recurrence as a table: for each k < order - 1, the pairs
+    (j, k - j) with j < k - j of the Cauchy product (x**2)_k, the middle
+    index of an even k (else None) and the factor 1/((k + 1)(k + 2))."""
+    return tuple(
+        (k, tuple((j, k - j) for j in range((k + 1) // 2)), k // 2 if k % 2 == 0 else None,
+         1.0 / ((k + 1) * (k + 2)))
+        for k in range(order - 1)
+    )
+
+
+def tabulated_coefficients(x, p, g3, order):
+    """x_0 ... x_order by a loop over the rows of ``tabulated_recurrence``,
+    each sum started from 0j: the reference for the compiled
+    ``trajectory._recurrence(order)``, which must match it bit for bit."""
+    xs = [x, p]
+    for k, pairs, middle, factor in tabulated_recurrence(order):
+        s = 0j
+        for j, i in pairs:
+            s += xs[j] * xs[i]
+        s += s
+        if middle is not None:
+            s += xs[middle] * xs[middle]
+        xs.append((g3 * s - xs[k]) * factor)
+    return xs
+
+
 def while_loop_steps(model, energy, x, p, t_end, cfg, direction=1.0):
-    """The stepper as it was before its recurrence was tabulated: the
-    Cauchy product walked by a ``while j < i`` loop, the exponents and the
-    drift limit recomputed on every step.  The tabulated ``_steps`` must
-    yield the same (t, h, xs) bit for bit."""
+    """The stepper with its recurrence as a plain loop: the Cauchy
+    product walked by a ``while j < i`` loop, the exponents and the drift
+    limit recomputed on every step.  ``_steps``, whose recurrence is
+    compiled once per order, must yield the same (t, h, xs) bit for
+    bit."""
     eps = max(trajectory._EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
     order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
     scale_floor = trajectory._EPS_PER_TOL * cfg.abs_tol / eps
@@ -653,10 +681,45 @@ class TestIntegrate:
         assert steps[0] <= 3469
 
 
+def steps_until_failure(steps, args):
+    """The (t, h, xs) that ``steps(*args)`` yields, and the message of
+    the drift failure that ends them, or None."""
+    out = []
+    try:
+        for t, h, xs in steps(*args):
+            out.append((t, h, list(xs)))
+    except EnergyDriftExceeded as exc:
+        return out, str(exc)
+    return out, None
+
+
 class TestStepper:
-    # the tabulated recurrence against the while-loop one it replaced:
-    # equal values (==) and equal reprs, which also pins the signs of zeros
-    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10, 1e-13, 1e-300])
+    # the compiled recurrence against the table and the while loop: equal
+    # values (==) and equal reprs, which also pins the signs of zeros
+    @pytest.mark.parametrize("order", range(2, 21))
+    @pytest.mark.parametrize("start", ["complex", "real", "harmonic"])
+    def test_compiled_recurrence_matches_the_table(self, order, start):
+        # a complex start; a real start at a real energy, whose imaginary
+        # parts are all zeros; and g3 = 0, the harmonic model
+        x, p, g3 = {
+            "complex": (1.0531 - 0.0173j, -0.2417 + 0.0309j, 3.0 * 0.143),
+            "real": (-0.6123 + 0j, 0j, 3.0 * 0.1),
+            "harmonic": (1.0 + 0j, -0.25 + 0.5j, 0.0),
+        }[start]
+        new = trajectory._recurrence(order)(x, p, g3)
+        old = tabulated_coefficients(x, p, g3, order)
+        assert len(new) == order + 1
+        assert new == old
+        assert repr(new) == repr(old)
+        if start == "real":
+            assert all(c.imag == 0.0 for c in new)
+
+    def test_compiled_recurrence_returns_a_fresh_list(self):
+        recurrence = trajectory._recurrence(15)
+        first = recurrence(1.0 + 0j, 0.5j, 0.3)
+        assert recurrence(1.0 + 0j, 0.5j, 0.3) is not first
+
+    @pytest.mark.parametrize("rel_tol", [1e3, 1.0, 1e-6, 1e-10, 1e-13, 1e-300])
     @pytest.mark.parametrize("direction", [1.0, -1j, cmath.exp(0.7j)])
     @pytest.mark.parametrize("harmonic", [False, True])
     def test_same_steps_as_the_while_loop(self, rel_tol, direction, harmonic):
@@ -672,11 +735,30 @@ class TestStepper:
             walk = 2.0
         cfg = IntegratorConfig(rel_tol=rel_tol)
         if direction != 1.0:
-            x0, p0 = complex_walk(model, energy, x0, p0, walk * direction, cfg)
+            # orders 2 and 4 would trip the drift guard on the walk itself
+            walk_cfg = cfg if rel_tol <= 1e-6 else IntegratorConfig()
+            x0, p0 = complex_walk(model, energy, x0, p0, walk * direction, walk_cfg)
         args = (model, energy, x0, p0, 30.0, cfg)
-        new = [(t, h, list(xs)) for t, h, xs in trajectory._steps(*args)]
-        old = [(t, h, list(xs)) for t, h, xs in while_loop_steps(*args)]
-        assert len(new) > 2
+        # at orders 2 (rel_tol 1e3) and 4 (rel_tol 1) the drift guard
+        # trips on the first step: both must word the failure alike
+        new = steps_until_failure(trajectory._steps, args)
+        old = steps_until_failure(while_loop_steps, args)
+        if rel_tol <= 1e-6:
+            assert new[1] is None and len(new[0]) > 2
+        assert new == old
+        assert repr(new) == repr(old)
+
+    @pytest.mark.parametrize("rel_tol", [1e3, 1.0])
+    def test_low_orders_match_the_while_loop_near_the_origin(self, rel_tol):
+        # a small orbit keeps |H - E| under the absolute limit for many
+        # steps: at order 2 the guard trips after 96 of them, both steppers
+        # alike; at order 4 all 113 steps to t = 30 pass
+        model = CubicModel(0.143)
+        x0 = 1e-3 + 1e-4j
+        args = (model, model.potential(x0), x0, 0j, 30.0, IntegratorConfig(rel_tol=rel_tol))
+        new = steps_until_failure(trajectory._steps, args)
+        old = steps_until_failure(while_loop_steps, args)
+        assert (len(new[0]), new[1] is None) == {1e3: (96, False), 1.0: (113, True)}[rel_tol]
         assert new == old
         assert repr(new) == repr(old)
 
@@ -692,18 +774,15 @@ class TestStepper:
         assert repr(new) == repr(old)
 
     def test_drift_message_is_unchanged(self):
-        # the limit is tabulated, and _check_drift still words the failure
+        # the limit is set once per run, and _check_drift still words the
+        # failure
         g = 2.0 / math.sqrt(125.0)
         model, energy, x1 = default_start(g)
         args = (model, energy, x1, 0j, 70.0, IntegratorConfig())
-        messages = []
-        for steps in (trajectory._steps, while_loop_steps):
-            with pytest.raises(EnergyDriftExceeded) as info:
-                for _ in steps(*args):
-                    pass
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("|H - E| reached")
+        new = steps_until_failure(trajectory._steps, args)
+        old = steps_until_failure(while_loop_steps, args)
+        assert new == old
+        assert new[1].startswith("|H - E| reached")
 
 
 class TestCrossingTime:
