@@ -19,7 +19,12 @@ first K of them and the rest, by the same expansion read backwards, as
 the repetition sum with 1/sinh kept and each repetition damped by
 e^{-n K w}; with K ~ sqrt(37 / Re w) both parts need about that many
 terms (Lambert-series splitting; the resummed form is that of
-Gutzwiller, *Chaos in Classical and Quantum Mechanics*, 1990).
+Gutzwiller, *Chaos in Classical and Quantum Mechanics*, 1990).  A head
+term costs one complex product: z_{k+1} = z_k e^{-w}, re-anchored by one
+exp at the start of every block of 8 terms, so each z_k is at most 7
+products from an exact exp.  The pole check |1 - z_k| < 1e-12 runs only
+in blocks where Re log z_k comes within 1e-6 of 0, and the tail's
+overflow stop is computed once.
 
 The poles z_k = 1 form a lattice of complex energies E_ks indexed by
 the instability quantum k and the action quantum s:
@@ -67,6 +72,10 @@ _STEP_TOL = 1e-13
 _MAX_NEWTON = 50
 # exp() overflows past ~709; beyond this z_k/(1 - z_k) is -1 to 1e-300.
 _EXP_HUGE = 700.0
+# Head terms per exp: the others are z_{k+1} = z_k e^{-w}.
+_BLOCK = 8
+# Blocks whose |Re log z_k| all exceed this cannot hold a pole.
+_NEAR_UNIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,16 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
     |z_K| <= exp(-sqrt(37 Re w)), and the tail needs about as many terms
     as the head: ~2 sqrt(37 / Re w) in all on the real axis, instead of
     the ~37 / Re w of the k-sum alone.  The tail stops once a term falls
-    below 1e-16 of the running sum.
+    below 1e-16 of the running sum, or at the n where sinh(n w / 2)
+    would overflow, found before the loop.
+
+    The leading head terms with Re log z_k > 700 are -1 to double
+    precision and are counted, not summed.  The rest take z_k from
+    z_{k-1} e^{-w}, with one exp(i (S/hbar - lam*pi/2) - (k + 1/2) w) at
+    the start of every block of 8, so their rounding stays that of the
+    direct exp.  |1 - z_k| >= ||z_k| - 1| > 1e-6 wherever
+    |Re log z_k| > 1e-6, so only the blocks that reach |Re log z_k| <= 1e-6
+    check for a pole.
 
     Raises
     ------
@@ -197,34 +215,40 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
     if not grow + spread < _MAX_TERMS:
         raise _too_many_terms(E, w)
     split = math.ceil(max(0.0, grow)) + math.ceil(spread)
-    total = 0j
-    for k in range(split):
-        exponent = phase - (k + 0.5) * w
-        if exponent.real > _EXP_HUGE:
-            term = complex(-2.0)
-        else:
-            z = cmath.exp(exponent)
+    # Re log z_k falls with k, so the terms that are -1 to double
+    # precision come first.
+    first = min(split, math.ceil(max(0.0, (phase.real - _EXP_HUGE) / w.real - 0.5)))
+    head = complex(-first)
+    q = cmath.exp(-w)
+    for start in range(first, split, _BLOCK):
+        z = cmath.exp(phase - (start + 0.5) * w)
+        lead = phase.real - (start + 0.5) * w.real
+        near = lead > -_NEAR_UNIT and lead - (_BLOCK - 1) * w.real < _NEAR_UNIT
+        for k in range(start, min(start + _BLOCK, split)):
             one_minus = 1.0 - z
-            if abs(one_minus) < _POLE_EPS:
+            if near and abs(one_minus) < _POLE_EPS:
                 raise PoleProximity(
                     f"|1 - z_{k}| = {abs(one_minus):.3e} at E = {E!r}"
                 )
-            term = 2.0 * z / one_minus
-        total += term
+            head += z / one_minus
+            z *= q
+    total = 2.0 * head
     ratio = cmath.exp(phase - split * w)
     power = 1.0
-    for n in range(1, _MAX_TERMS - split + 1):
-        # |z_K| <= e^{-Re w}, so past here |term| < 2 e^{-2 _EXP_HUGE}
-        # underflows, and sinh would overflow.
-        if 0.5 * n * w.real > _EXP_HUGE:
-            break
+    half_w = w / 2.0
+    terms = _MAX_TERMS - split
+    # The last n with n Re w / 2 <= _EXP_HUGE: past it sinh would
+    # overflow, and |term| < 2 e^{-2 _EXP_HUGE} underflows (|z_K| <= e^{-Re w}).
+    stop = int(2.0 * _EXP_HUGE / w.real)
+    for n in range(1, min(terms, stop) + 1):
         power *= ratio
-        term = power / cmath.sinh(0.5 * n * w)
+        term = power / cmath.sinh(n * half_w)
         total += term
         if term == 0 or abs(term) < _TERM_CUTOFF * abs(total):
             break
     else:
-        raise _too_many_terms(E, w)
+        if stop >= terms:
+            raise _too_many_terms(E, w)
     return -1j * T / (2.0 * ctx.hbar) * total
 
 

@@ -22,6 +22,7 @@ from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
 DATA = pathlib.Path(__file__).parent / "data"
+DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
 LINEAR_ORBIT = {
     "name": "linear-demo",
@@ -413,6 +414,24 @@ class TestGutzwiller:
                 expected, abs=1e-12
             )
             assert float(row[4]) <= 1e-12
+
+    def test_response_scan_golden_csv(self, capsys):
+        # g(E) of both demo orbits at E = 0.30, 0.40, ..., 2.70 and 1 - 0.05i,
+        # byte for byte, against tests/data/response_scan.csv; a CI step
+        # rebuilds the same rows with the console script
+        energies = [(f"{x / 100:.2f}", "0") for x in range(30, 271, 10)] + [("1.00", "-0.05")]
+        lines = ["orbit,re_e,im_e,re_g,im_g"]
+        for name in ("linear_orbit", "quadratic_orbit"):
+            orbit = str(DEMOS / "orbits" / f"{name}.json")
+            for re_e, im_e in energies:
+                code, out, _ = run(
+                    capsys, "gutzwiller", "eval", "--orbit", orbit,
+                    "--energy", f"re={re_e},im={im_e}", "--format", "csv",
+                )
+                assert code == 0
+                lines.append(f"{name},{re_e},{im_e},{out.splitlines()[-1]}")
+        assert "".join(line + "\n" for line in lines).encode() == (
+            DATA / "response_scan.csv").read_bytes()
 
     def test_malformed_orbit_reports_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import cmath
 import json
 import math
+import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +117,78 @@ def mpmath_response(orbit, energy, hbar=1.0):
             x *= q
             x_split *= q_split
             j += 1
+
+
+def per_term_response(ctx, orbit, energy):
+    """``response_function`` with a fresh exponent and exp for every head
+    term, the pole check on every head term and the overflow stop tested
+    on every tail term.  The anchored recurrence must agree with it to
+    rounding, and raise what it raises."""
+    E = complex(energy)
+    S, w, T = eval_orbit(orbit, E)
+    if w.real <= 0.0:
+        raise NonConvergent(
+            f"instability exponent must have positive real part, got w = {w!r}"
+        )
+    phase = 1j * (S / ctx.hbar - orbit.lam * math.pi / 2.0)
+    # |z_k| <= 1 from k = grow on.
+    grow = phase.real / w.real - 0.5
+    spread = math.sqrt(gutzwiller._CUTOFF_LOG / w.real)
+    if not grow + spread < gutzwiller._MAX_TERMS:
+        raise gutzwiller._too_many_terms(E, w)
+    split = math.ceil(max(0.0, grow)) + math.ceil(spread)
+    total = 0j
+    for k in range(split):
+        exponent = phase - (k + 0.5) * w
+        if exponent.real > gutzwiller._EXP_HUGE:
+            term = complex(-2.0)
+        else:
+            z = cmath.exp(exponent)
+            one_minus = 1.0 - z
+            if abs(one_minus) < gutzwiller._POLE_EPS:
+                raise PoleProximity(
+                    f"|1 - z_{k}| = {abs(one_minus):.3e} at E = {E!r}"
+                )
+            term = 2.0 * z / one_minus
+        total += term
+    ratio = cmath.exp(phase - split * w)
+    power = 1.0
+    for n in range(1, gutzwiller._MAX_TERMS - split + 1):
+        # |z_K| <= e^{-Re w}, so past here |term| < 2 e^{-2 _EXP_HUGE}
+        # underflows, and sinh would overflow.
+        if 0.5 * n * w.real > gutzwiller._EXP_HUGE:
+            break
+        power *= ratio
+        term = power / cmath.sinh(0.5 * n * w)
+        total += term
+        if term == 0 or abs(term) < gutzwiller._TERM_CUTOFF * abs(total):
+            break
+    else:
+        raise gutzwiller._too_many_terms(E, w)
+    return -1j * T / (2.0 * ctx.hbar) * total
+
+
+def outcome(evaluate, orbit, energy):
+    """The value, or the exception type with the k that PoleProximity names."""
+    try:
+        return evaluate(CTX, orbit, energy)
+    except (PoleProximity, NonConvergent) as exc:
+        named = re.search(r"z_(\d+)", str(exc))
+        return type(exc), named and int(named.group(1))
+
+
+def pole_distance(orbit, energy, hbar=1.0):
+    """Distance from E to the nearest pole E_ks (k >= 0, any integer s),
+    as one Newton step of the pole condition R_ks(E) = 0 from E: the
+    smallest |R_ks / R_ks'| with R_ks = S - hbar (lam pi/2 - i w (k + 1/2)
+    + 2 pi s)."""
+    S, w, _ = eval_orbit(orbit, complex(energy))
+    dS, dw = (naive_polyval(gutzwiller._polyder(coeffs), complex(energy))
+              for coeffs in (orbit.s_coeffs, orbit.w_coeffs))
+    kk = np.arange(2 * gutzwiller._MAX_TERMS) + 0.5
+    residual = S - hbar * orbit.lam * math.pi / 2.0 + 1j * hbar * w * kk
+    residual -= 2.0 * math.pi * hbar * np.round(residual.real / (2.0 * math.pi * hbar))
+    return float(np.min(np.abs(residual / (dS + 1j * hbar * dw * kk))))
 
 
 def random_orbit(rng):
@@ -276,12 +350,62 @@ class TestHeadTailSplit:
         ours = response_function(CTX, orbit, energy)
         assert abs(ours - mpmath_response(orbit, energy)) <= 1e-12 * abs(ours)
 
-    @pytest.mark.parametrize("w0, idx", [(0.01, PoleIndex(3, 1)), (0.5, PoleIndex(20, 0))])
+    # At w0 = 0.01 the poles (k, 0) for k = 0 ... 17 fill every slot of the
+    # first two blocks of 8 head terms and the first two of the third.  At
+    # the (0.3, (2400, 0)) pole, Im E = -115, Re log z_k > 700 for the first
+    # 67 rows, so the blocks start at k = 67 and the pole is in slot 5.
+    @pytest.mark.parametrize("w0, idx", [(0.01, PoleIndex(k, 0)) for k in range(18)] + [
+        (0.01, PoleIndex(3, 1)), (0.5, PoleIndex(20, 0)), (0.3, PoleIndex(2400, 0))])
     def test_pole_proximity_from_a_head_term(self, w0, idx):
         orbit = linear_orbit(w0)
         pole = find_pole(CTX, orbit, idx)
         with pytest.raises(PoleProximity, match=f"z_{idx.k}\\b"):
             response_function(CTX, orbit, pole)
+
+    @pytest.mark.parametrize("make", [linear_orbit, quadratic_orbit])
+    def test_agrees_with_the_per_term_loop(self, make):
+        # Re w log-uniform over [1e-4, 2].  At Im E = -120, Re log z_k > 700
+        # for the leading rows, and for Re w below ~0.08 the sum needs more
+        # than 10**4 terms.
+        rng = np.random.default_rng(22)
+        seen = Counter()
+        for im_e in (0.0, 0.01, -0.01, -1.0, -120.0):
+            for _ in range(16):
+                orbit = make(10.0 ** rng.uniform(-4.0, math.log10(2.0)))
+                energy = complex(rng.uniform(0.05, 2.95), im_e)
+                ours = outcome(response_function, orbit, energy)
+                reference = outcome(per_term_response, orbit, energy)
+                if isinstance(reference, tuple) or isinstance(ours, tuple):
+                    assert ours == reference, energy
+                    seen[reference[0]] += 1
+                elif pole_distance(orbit, energy) >= 0.01:
+                    assert abs(ours - reference) <= 1e-13 * abs(reference), energy
+                    seen["compared"] += 1
+                else:
+                    seen["near a pole"] += 1
+        assert seen["compared"] >= 40 and seen[NonConvergent] >= 5
+
+    @pytest.mark.parametrize("make", [linear_orbit, quadratic_orbit])
+    @pytest.mark.parametrize("w0, idx", [(1e-3, PoleIndex(0, 0)), (1e-3, PoleIndex(45, 2)),
+                                         (0.01, PoleIndex(9, 1)), (0.5, PoleIndex(20, 0)),
+                                         (2.0, PoleIndex(3, 2)), (0.3, PoleIndex(2400, 0))])
+    def test_raises_what_the_per_term_loop_raises(self, make, w0, idx):
+        # the quadratic orbit's (2400, 0) pole needs more than 10**4 terms
+        orbit = make(w0)
+        pole = find_pole(CTX, orbit, idx)
+        reference = outcome(per_term_response, orbit, pole)
+        assert reference in {(PoleProximity, idx.k), (NonConvergent, None)}
+        assert outcome(response_function, orbit, pole) == reference
+
+    # n Re w / 2 reaches 700 at n = 1000 for Re w = 1.4 and at n = 1 for
+    # Re w = 1400: the last tail term before sinh would overflow
+    @pytest.mark.parametrize("w0", [edge for w0 in (1.4, 1400.0) for edge in
+                                    (math.nextafter(w0, 0.0), w0, math.nextafter(w0, math.inf))])
+    def test_tail_stop_at_its_edges(self, w0):
+        orbit = linear_orbit(w0)
+        reference = per_term_response(CTX, orbit, 0.3 + 0j)
+        ours = response_function(CTX, orbit, 0.3 + 0j)
+        assert abs(ours - reference) <= 1e-13 * abs(reference)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -300,9 +424,16 @@ class TestHeadTailSplit:
         return counts
 
     def test_terms_scale_as_inverse_sqrt_w(self, calls):
-        # ~2 sqrt(37 / Re w) = 1,217 terms; the k-sum alone needs ~37 / Re w
-        response_function(CTX, linear_orbit(1e-4), 0.3 + 0j)
-        assert calls["exp"] + calls["sinh"] <= 2.5 * math.sqrt(37.0 / 1e-4)
+        # ~2 sqrt(37 / Re w) = 1,214 terms; the k-sum alone needs ~37 / Re w.
+        # The head's K = ceil(sqrt(37 / Re w)) = 607 terms take one exp per
+        # block of 8, plus one each for e^{-w} and the tail's ratio r.  On the
+        # real axis |r| = e^{-K Re w}, so the tail falls by 1e-16 within
+        # 37 / (K Re w) ~ 607 terms.
+        w0 = 1e-4
+        head = math.ceil(math.sqrt(gutzwiller._CUTOFF_LOG / w0))
+        response_function(CTX, linear_orbit(w0), 0.3 + 0j)
+        assert calls["exp"] <= math.ceil(head / 8) + 2
+        assert calls["sinh"] <= math.ceil(gutzwiller._CUTOFF_LOG / (head * w0))
 
     # Re w = 1e-10: sqrt(37 / Re w) ~ 6e5 head terms; E = 0.3 - 1000i:
     # |z_k| > 1 for the first ~12,600 k
