@@ -431,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tolerances = argparse.ArgumentParser(add_help=False)
     tolerances.add_argument("--rel-tol", type=_positive, default=IntegratorConfig.rel_tol,
-                            help="relative integration tolerance (default %(default)g)")
+                            help="relative integration tolerance (default %(default)g); "
+                            "the energy drift guard fails table1 above about 2e-7")
     tolerances.add_argument("--abs-tol", type=_positive, default=IntegratorConfig.abs_tol,
                             help="absolute integration tolerance (default %(default)g)")
 

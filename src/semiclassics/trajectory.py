@@ -50,11 +50,11 @@ row comes close enough to it.  ``crossing_time`` searches n for the
 first such row, below the poles and within the horizon: one lattice
 call (``cubic._row_bracket``) bounds the rows and predicts the row from
 the closed form, and a galloping search from the prediction confirms
-it.  Each try starts row n from the closed-form state at -i n Im T
-(``cubic._orbit_at``, Weierstrass's function on the reduced lattice)
-and marches one period of real time from there, so its cost does not
-grow with t_c or t_max: table1's four crossings take 296
-Taylor steps in 12 row tries and 17 closed-form evaluations.
+it.  Each try, row 0 included, starts row n from the closed-form state
+at -i n Im T (``cubic._orbit_at``, Weierstrass's function on the
+reduced lattice), which reads the start only through x0 and the branch
+of p0, and marches one period of real time from there, so its cost does
+not grow with t_c or t_max.
 
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
@@ -486,10 +486,11 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     ------
     EnergyDriftExceeded
         If |H - E| grows beyond 1e-6 * max(1, |E|) at a step end or a
-        sample.
+        sample, as it does on the way into a finite-time blow-up of the
+        cubic flow (g = 0.1, E = 1 from rest at x3: 1.2e-6 at t = 3.01,
+        short of the pole at t = 3.489).
     StepSizeUnderflow
-        If the step no longer advances time (typically a trajectory
-        heading into a finite-time blow-up of the cubic flow).
+        If the step no longer advances time.
     """
     import numpy as np
 
@@ -518,16 +519,15 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     )
 
 
-def _reach_on_row(model, energy, x0, p0, periods, t0, n, target, cfg):
+def _reach_on_row(model, energy, periods, t0, n, target, cfg):
     """First s in [0, Re T) at which Re x(n Re T + s) reaches ``target``,
     or None.
 
-    T is a period, so x(n Re T + s) = x(s - i n Im T): row n >= 1 starts
-    from the closed-form state at the complex time -i n Im T of the orbit
-    with its pole at t0 (``cubic._orbit_at``), row 0 from (x0, p0), and s
-    is marched over one period from there.
+    T is a period, so x(n Re T + s) = x(s - i n Im T): every row starts
+    from the closed-form state at -i n Im T of the orbit with its pole at
+    t0 (``cubic._orbit_at``), and s is marched over one period from there.
     """
-    x, p = _orbit_at(model, periods, t0, -1j * n * periods[0].imag) if n else (x0, p0)
+    x, p = _orbit_at(model, periods, t0, -1j * n * periods[0].imag)
     for s, h, xs in _steps(model, energy, x, p, periods[0].real, cfg):
         tau = _first_reach(xs, h, target)
         if tau is not None:
@@ -590,13 +590,11 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     order: it can cross on the start's own first excursion, which the
     shifted rows no longer reach, so it goes first.
 
-    Row 0 is marched from the given (x0, p0).  Rows n >= 1 start from
-    the closed-form state at -i n Im T of the orbit with its pole at t0
-    (``cubic._pole_time``), which sees only x0 and the branch of p0: they
-    follow the orbit on the exact energy shell through x0, so a crossing
-    on row n >= 1 does not depend on |p0| within the slack of
-    1e-10 max(1, |E|) that ``_check_shell`` allows the start.  Each try
-    marches one period from its start with the whole-step root search.
+    Every row, row 0 included, starts from the closed-form state at
+    -i n Im T of the orbit with its pole at t0 (``cubic._pole_time``),
+    which sees only x0 and the branch of p0, so t_c does not depend on
+    |p0| within the shell slack 1e-10 max(1, |E|) of ``_check_shell``.
+    Each try marches one period with the whole-step root search.
     A real period (Im T == 0.0 exactly, as for every real energy below
     the barrier top) makes the orbit periodic, so row 0 alone decides.
     A real start at a real energy below the barrier top moves on the
@@ -626,7 +624,7 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
 
     @functools.cache
     def reach(n):
-        return _reach_on_row(model, E, x0, p0, periods, t0, n, target, cfg)
+        return _reach_on_row(model, E, periods, t0, n, target, cfg)
 
     n, rows = 0, 1
     if reach(0) is None:

@@ -2,7 +2,10 @@ import argparse
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
+from semiclassics import cubic
 from semiclassics.cli import MAX_POLES, _build_parser, _cell, _config, _render, main
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
@@ -173,6 +177,13 @@ class TestTurningPoints:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_missed_residual_fails_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(cubic, "_RESIDUAL_TOL", 0.0)
+        code, out, err = run(capsys, "turning-points", "--g", "0.1", "--energy", "0.3")
+        assert code == 1
+        assert out == ""
+        assert "misses V(x) = E" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("g", ["1e-300", "1e-160", "1e-120"])
     def test_coupling_below_the_floor_fails_cleanly(self, capsys, g):
@@ -351,6 +362,15 @@ class TestTable1:
         assert code == 0
         assert out_path.read_bytes() == (DATA / "table1.csv").read_bytes()
 
+    def test_loose_tolerance_fails_the_drift_guard(self, capsys):
+        # at --rel-tol 1e-6 the stepper's order is 11, and table1's first
+        # crossing drifts past the limit: a failed run, not a traceback
+        code, out, err = run(capsys, "table1", "--rel-tol", "1e-6", "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert "error: |H - E| reached 5.194e-06 (limit 1.000e-06)" in err
+        assert "Traceback" not in err
+
     def test_no_crossing_renders_as_none_token(self, capsys, tmp_path):
         # horizon too short for the crossing: the row says "none" in the
         # table and leaves the CSV cell empty
@@ -415,15 +435,17 @@ class TestGutzwiller:
             )
             assert float(row[4]) <= 1e-12
 
+    # the energies of tests/data/response_scan.csv
+    SCAN_ENERGIES = [(f"{x / 100:.2f}", "0") for x in range(30, 271, 10)] + [("1.00", "-0.05")]
+
     def test_response_scan_golden_csv(self, capsys):
         # g(E) of both demo orbits at E = 0.30, 0.40, ..., 2.70 and 1 - 0.05i,
         # byte for byte, against tests/data/response_scan.csv; a CI step
         # rebuilds the same rows with the console script
-        energies = [(f"{x / 100:.2f}", "0") for x in range(30, 271, 10)] + [("1.00", "-0.05")]
         lines = ["orbit,re_e,im_e,re_g,im_g"]
         for name in ("linear_orbit", "quadratic_orbit"):
             orbit = str(DEMOS / "orbits" / f"{name}.json")
-            for re_e, im_e in energies:
+            for re_e, im_e in self.SCAN_ENERGIES:
                 code, out, _ = run(
                     capsys, "gutzwiller", "eval", "--orbit", orbit,
                     "--energy", f"re={re_e},im={im_e}", "--format", "csv",
@@ -432,6 +454,44 @@ class TestGutzwiller:
                 lines.append(f"{name},{re_e},{im_e},{out.splitlines()[-1]}")
         assert "".join(line + "\n" for line in lines).encode() == (
             DATA / "response_scan.csv").read_bytes()
+
+    def test_golden_files_without_numpy(self, capsys):
+        # the CI's byte checks with numpy blocked, in one subprocess: the
+        # default table1, the 22-coupling grid at --t-max 1e30 (against
+        # this process's output) and the 52 response-scan rows
+        grid = ["table1", "--g", *(f"{0.05 + 0.01 * i:.2f}" for i in range(22)),
+                "--t-max", "1e30", "--format", "csv"]
+        scan = [[name, re_e, im_e, "gutzwiller", "eval",
+                 "--orbit", str(DEMOS / "orbits" / f"{name}.json"),
+                 "--energy", f"re={re_e},im={im_e}", "--format", "csv"]
+                for name in ("linear_orbit", "quadratic_orbit")
+                for re_e, im_e in self.SCAN_ENERGIES]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from semiclassics.cli import main\n"
+            "def out(argv):\n"
+            "    buffer = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buffer), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "    return buffer.getvalue()\n"
+            "table, grid, scan = json.loads(sys.argv[1])\n"
+            "lines = ['orbit,re_e,im_e,re_g,im_g']\n"
+            "for name, re_e, im_e, *argv in scan:\n"
+            "    lines.append(f'{name},{re_e},{im_e},{out(argv).splitlines()[-1]}')\n"
+            "print(json.dumps([out(table), out(grid), ''.join(line + '\\n' for line in lines)]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([["table1", "--format", "csv"], grid, scan])],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(pathlib.Path(cubic.__file__).parent.parent), os.environ.get("PYTHONPATH")]))},
+        )
+        table, wide, response = json.loads(result.stdout)
+        assert table.encode() == (DATA / "table1.csv").read_bytes()
+        assert wide == run(capsys, *grid)[1]
+        assert response.encode() == (DATA / "response_scan.csv").read_bytes()
 
     def test_malformed_orbit_reports_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

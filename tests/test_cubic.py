@@ -17,6 +17,7 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
+from semiclassics import cubic
 from semiclassics.cubic import _carlson_rf, _periods
 
 TABLE_G = (0.12522, 0.14311, 0.16099, 0.17888)
@@ -410,6 +411,12 @@ class TestTurningPoints:
     def test_nonfinite_energy_rejected(self):
         with pytest.raises(ValueError):
             turning_points(CubicModel(0.1), complex(float("inf"), 0.0))
+
+    def test_missed_residual_raises(self, monkeypatch):
+        # with no tolerance at all, the rounding left in V(x) - E fails
+        monkeypatch.setattr(cubic, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match=r"misses V\(x\) = E"):
+            turning_points(CubicModel(0.1), 0.3 + 0j)
 
 
 def mpmath_rf(x, y, z):

@@ -11,6 +11,7 @@ import pytest
 from semiclassics import gutzwiller
 from semiclassics import (
     DegenerateAction,
+    NewtonDiverged,
     NonConvergent,
     OrbitModel,
     OrbitSchemaError,
@@ -597,6 +598,12 @@ class TestFindPole:
         assert abs((e01 - e00) - 2.0 * math.pi / t0) <= 1e-12
         assert abs((e10 - e00).imag + w0 / t0) <= 1e-12
         assert abs((e10 - e00).real) <= 1e-12
+
+    def test_newton_budget_exhausted(self, monkeypatch):
+        # the quadratic orbit's default guess needs more than one step
+        monkeypatch.setattr(gutzwiller, "_MAX_NEWTON", 1)
+        with pytest.raises(NewtonDiverged, match=r"\(k=0, s=0\) did not converge in 1 iterations"):
+            find_pole(CTX, QUADRATIC, PoleIndex(0, 0))
 
     def test_degenerate_action(self):
         orbit = OrbitModel(name="flat", s_coeffs=(1.0, 1e-13), w_coeffs=(0.5,),

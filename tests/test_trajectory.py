@@ -22,6 +22,7 @@ from semiclassics import (
     HarmonicModel,
     IntegratorConfig,
     NoCrossing,
+    StepSizeUnderflow,
     corrected_quasi_bound_energy,
     crossing_time,
     hamiltonian,
@@ -381,7 +382,7 @@ def bisected_row_searches():
             periods = _periods(model, tps)
             t0 = _pole_time(model, tps, x1, 0j)
             for n in rows:
-                trajectory._reach_on_row(model, energy, x1, 0j, periods, t0, n, tps.x3.real,
+                trajectory._reach_on_row(model, energy, periods, t0, n, tps.x3.real,
                                          IntegratorConfig())
     searched = []
     for xs, h, target, bernstein in reached:
@@ -666,6 +667,27 @@ class TestIntegrate:
         with pytest.raises(EnergyDriftExceeded):
             integrate(model, state.energy, x1, 0j, IntegratorConfig(t_max=70.0))
 
+    @pytest.mark.parametrize("rel_tol, drift", [(1e-10, "1.202e-06"), (1e-13, "1.818e-06")])
+    def test_blowup_from_x3_trips_the_drift_guard_first(self, rel_tol, drift):
+        # the real orbit from rest at x3 runs off to +infinity in finite
+        # time; the drift guard stops it before the step size underflows
+        model = CubicModel(0.1)
+        x3 = turning_points(model, 1.0 + 0j).x3
+        with pytest.raises(EnergyDriftExceeded,
+                           match=rf"^\|H - E\| reached {drift} \(limit 1\.000e-06\)$"):
+            integrate(model, 1.0 + 0j, x3, 0j, IntegratorConfig(rel_tol=rel_tol, t_max=10.0))
+
+    def test_blowup_from_x3_underflows_without_the_drift_guard(self, monkeypatch):
+        # with no drift limit the same run goes on to the pole, where the
+        # step (1.9e-17 at |x| ~ 1.9e32) no longer advances time
+        monkeypatch.setattr(trajectory, "DRIFT_FAILURE_LIMIT", math.inf)
+        steps = count_steps(monkeypatch)
+        model = CubicModel(0.1)
+        x3 = turning_points(model, 1.0 + 0j).x3
+        with pytest.raises(StepSizeUnderflow, match=r"at t = 3\.48885\d* no longer advances time$"):
+            integrate(model, 1.0 + 0j, x3, 0j, IntegratorConfig(t_max=10.0))
+        assert steps[0] == 109
+
     def test_trajectory_export_work_count(self, monkeypatch):
         # the benchmark's trajectory_export pass: four samplings near
         # g = 0.143 and their round trips took 3,469 Taylor steps and
@@ -948,6 +970,24 @@ class TestRootSearch:
         tau = trajectory._first_reach(xs, 1.0, 1.3)
         assert 0.5 - 2 * trajectory._MIN_WIDTH <= tau <= 0.5
 
+    def test_step_starting_past_the_target(self):
+        # a step whose Re x starts at or past the target reaches it at 0
+        assert trajectory._first_reach([1.3 + 0.5j, -1.0, -1.0], 0.5, 1.3) == 0.0
+        assert trajectory._first_reach([1.4 + 0j, -1.0, -1.0], 0.5, 1.3) == 0.0
+
+    def test_newton_on_adjacent_floats(self):
+        # near the triple root of (s - 1/2)**3 the polynomial's value is
+        # rounding: its sign changes between two adjacent floats, and the
+        # Newton step (0.25) cannot land between them, so the bracket's
+        # upper end is the root
+        c = [-0.125, 0.75, -1.5, 1.0]
+        lo = 0.49999999999977823
+        hi = math.nextafter(lo, 1.0)
+        (f, df), (f_hi, _) = trajectory._at(c, lo), trajectory._at(c, hi)
+        assert f < 0.0 < f_hi
+        assert abs(f / df.real) > sys.float_info.epsilon
+        assert trajectory._newton(c, lo, hi, lo) == hi
+
     # each mp.polyroots call takes ~0.1 s
     @settings(deadline=None, max_examples=30, derandomize=True)
     @given(
@@ -1040,7 +1080,7 @@ class TestLatticeReduction:
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
         assert math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real) == first_row
-        args = (model, energy, x1, 0j, periods, t0)
+        args = (model, energy, periods, t0)
         cfg = IntegratorConfig()
         scanned = next(
             n for n in itertools.count()
@@ -1063,6 +1103,31 @@ class TestLatticeReduction:
         assert crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=t_c + 1e-3)) == t_c
         with pytest.raises(NoCrossing):
             crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=t_c - 1e-3))
+
+    def test_horizon_below_one_period(self):
+        # t_max = 1 is below Re T = 6.744: only row 0 is searched, and the
+        # horizon, not the poles, is named
+        model, energy, x1 = default_start(0.12522)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x1, 0j)
+        assert _row_bracket(model, periods, t0, tps.x3.real, 1.0) == (1, None)
+        with pytest.raises(NoCrossing, match=r"within t_max = 1$"):
+            crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=1.0))
+
+    def test_failed_prediction_falls_back_to_bisection(self, monkeypatch):
+        # a closed-form evaluation that fails inside the prediction leaves
+        # no guess, and bisecting the 45 rows finds the same crossing
+        def failing(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        model, energy, x1 = default_start(0.16099)
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, x1, 0j)
+        monkeypatch.setattr(cubic, "_orbit_at", failing)
+        assert _row_bracket(model, periods, t0, tps.x3.real, 2e5) == (45, None)
+        assert crossing_time(model, energy, x1, 0j) == 222.07908252223885
 
     def test_real_energy_huge_horizon(self, monkeypatch, capsys):
         steps = count_steps(monkeypatch)
@@ -1134,8 +1199,8 @@ class TestLatticeReduction:
 
     def test_table1_work_count(self, monkeypatch):
         # the table's four crossings: 12 row tries (row 0, the predicted
-        # row and the one below it), 296 Taylor steps, 17 closed-form
-        # evaluations, 9 for the predictions and 8 for the row starts, and
+        # row and the one below it), 296 Taylor steps, 21 closed-form
+        # evaluations, 9 for the predictions and 12 for the row starts, and
         # one row bracket for each crossing, after row 0 misses
         steps = count_steps(monkeypatch)
         calls = {"_reach_on_row": 0, "_orbit_at": 0, "_row_bracket": 0}
@@ -1147,7 +1212,7 @@ class TestLatticeReduction:
             monkeypatch.setattr(module, "_orbit_at", counted)
         compute_table1()
         assert steps[0] == 296
-        assert calls == {"_reach_on_row": 12, "_orbit_at": 17, "_row_bracket": 4}
+        assert calls == {"_reach_on_row": 12, "_orbit_at": 21, "_row_bracket": 4}
 
     @pytest.mark.parametrize("g, first_row", [
         (0.17888, 6), (0.16099, 30), (0.14311, 199), (0.12522, 2225)])
@@ -1194,9 +1259,22 @@ class TestLatticeReduction:
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x0, p0)
         assert _row_bracket(model, periods, t0, tps.x3.real, 2e5) == (142, 118)
-        args = (model, energy, x0, p0, periods, t0)
+        args = (model, energy, periods, t0)
         for n in (1, 2, 3):
             assert trajectory._reach_on_row(*args, n, tps.x3.real, IntegratorConfig()) is None
+
+    def test_row_zero_ignores_the_shell_slack(self):
+        # row 0 starts from the closed form like every other row, so a p0
+        # moved within the 1e-10 shell slack (|H - E| = 4.9e-11 here) gives
+        # the same t_c to the bit; marched from the raw p0, row 0 moved by
+        # up to 3.0e-10 relative
+        model, energy, _ = default_start(0.1545)
+        x0 = 2.5 + 0j
+        p0 = initial_momentum(model, energy, x0, -1)
+        t_c = crossing_time(model, energy, x0, p0)
+        for factor in (1 + 1e-10, 1 - 1e-10, 1 + 1e-10j, 1 - 1e-10j):
+            assert abs(hamiltonian(model, x0, factor * p0) - energy) > 4e-11
+            assert crossing_time(model, energy, x0, factor * p0) == t_c
 
     def test_ratio_turns_at_the_barrier_top(self):
         # t_c falls all the way from g = 0.05 to 0.26, but t_c/tau falls
@@ -1230,7 +1308,7 @@ class TestLatticeReduction:
         if "poles" in cause:
             reach_on_row = trajectory._reach_on_row
             monkeypatch.setattr(trajectory, "_reach_on_row",
-                                lambda *args: reach_on_row(*args) if args[6] == 0 else None)
+                                lambda *args: reach_on_row(*args) if args[4] == 0 else None)
         model, default_energy, _ = default_start(g)
         energy = energy or default_energy
         tps = turning_points(model, energy)
@@ -1457,8 +1535,7 @@ class TestJacobiOracle:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
-        trajectory._reach_on_row(model, energy, x1, 0j, periods, t0, 2, tps.x3.real,
-                                 IntegratorConfig())
+        trajectory._reach_on_row(model, energy, periods, t0, 2, tps.x3.real, IntegratorConfig())
 
     # the same from x1 + 0.05i, against the crossing at rel_tol 1e-13
     @pytest.mark.parametrize("g, exact", [
