@@ -44,6 +44,7 @@ from .gutzwiller import (
     response_function,
 )
 from .trajectory import (
+    SAMPLED_T_MAX,
     IntegratorConfig,
     crossing_time,
     initial_momentum,
@@ -474,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_turning_points)
 
     p = sub.add_parser("trajectory",
-                       parents=[tolerances, _horizon(100.0), energy, start, single_g],
+                       parents=[tolerances, _horizon(SAMPLED_T_MAX), energy, start, single_g],
                        help="integrate and export a sampled trajectory as CSV")
     p.add_argument("--out", required=True, help="the CSV file to write")
     p.add_argument("--sample-interval", type=_positive, default=IntegratorConfig.sample_interval)

@@ -237,6 +237,16 @@ class TestTrajectory:
         manifest = json.loads(err.strip().split("\n")[0])
         assert manifest["parameters"]["t_max"] == 5.0
 
+    def test_golden_csv(self, capsys, tmp_path):
+        # every sample is evaluated on a step polynomial from the end state
+        # of the step before: byte for byte against tests/data/trajectory.csv;
+        # a CI step checks the console script the same way
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, "trajectory", "--g", "0.14311", "--t-max", "10",
+                         "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "trajectory.csv").read_bytes()
+
     def test_zero_length_run(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(

@@ -292,17 +292,53 @@ def default_start(g):
 
 
 def count_steps(monkeypatch):
-    """Count the steps every later _steps generator yields."""
+    """Count the Taylor steps that every later stepper takes (a step that
+    raises is not counted): the sampling, the round trips and the row
+    marches all step through ``trajectory._stepper``."""
     counter = [0]
-    steps = trajectory._steps
+    stepper = trajectory._stepper
 
-    def counting(*args, **kwargs):
-        for step in steps(*args, **kwargs):
+    def counting(*args):
+        step = stepper(*args)
+
+        def counted(*state):
+            taken = step(*state)
             counter[0] += 1
-            yield step
+            return taken
 
-    monkeypatch.setattr(trajectory, "_steps", counting)
+        return counted
+
+    monkeypatch.setattr(trajectory, "_stepper", counting)
     return counter
+
+
+def loop_bound(xs, h):
+    """The whole-step bound sum_{k>=1} max(Re x_k, 0) h**k by the loop
+    that ``_first_reach`` ran before the bound was compiled per order."""
+    bound = 0.0
+    for c in xs[:0:-1]:
+        r = c.real
+        bound = bound * h if r <= 0.0 else (bound + r) * h
+    return bound
+
+
+def uncached_orbit_at(model, periods, t0, z):
+    """``cubic._orbit_at`` with the lattice reduced, and c, the term count
+    and the constant terms computed, on every call: the reference for the
+    cached lattice, which must give the same bits."""
+    T, T_prime = periods
+    while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
+        T, T_prime = T_prime, T
+    w = z - t0 - round(cubic._lattice_b((T, T_prime), z - t0)) * T_prime
+    c = cmath.pi / T
+    last = int(0.5 + 20.0 / abs((c * T_prime).imag))
+    wp, dwp = -1.0 / 3.0, 0j
+    for n in range(-last, last + 1):
+        s = cmath.sin(a := c * (w + n * T_prime))
+        csc2 = 1.0 / (s * s)
+        wp += csc2 - (1.0 / cmath.sin(c * n * T_prime) ** 2 if n else 0.0)
+        dwp += cmath.cos(a) / s * csc2
+    return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g
 
 
 def call_counter(calls, name, fn):
@@ -550,6 +586,20 @@ class TestIntegrate:
         assert traj.x[0] == 1.0 + 0j
         assert traj.p[0] == 0j
 
+    def test_default_config_has_the_trajectory_commands_horizon(self):
+        # without a config, the trajectory command's horizon: 2,001
+        # samples to t = 100, where the config's own t_max = 2e5 would need
+        # 4e6, more than MAX_SAMPLES; a real energy in the well keeps the
+        # orbit between x1 and x2, short of the escape that ends the
+        # quasi-bound orbit's run at this coupling
+        model, energy = CubicModel(0.17888), 0.45 + 0j
+        x1 = turning_points(model, energy).x1
+        traj = integrate(model, energy, x1, 0j)
+        assert len(traj) == 2001
+        assert traj.t[-1] == trajectory.SAMPLED_T_MAX == 100.0
+        explicit = integrate(model, energy, x1, 0j, IntegratorConfig(t_max=100.0))
+        assert repr(traj.x.tolist()) == repr(explicit.x.tolist())
+
     def test_sample_grid(self):
         cfg = IntegratorConfig(t_max=1.23, sample_interval=0.05)
         traj = integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
@@ -715,20 +765,24 @@ def steps_until_failure(steps, args):
     return out, None
 
 
+# a complex start; a real start at a real energy, whose imaginary parts
+# are all zeros; and g3 = 0, the harmonic model: (x, p, 3 g)
+KERNEL_STARTS = {
+    "complex": (1.0531 - 0.0173j, -0.2417 + 0.0309j, 3.0 * 0.143),
+    "real": (-0.6123 + 0j, 0j, 3.0 * 0.1),
+    "harmonic": (1.0 + 0j, -0.25 + 0.5j, 0.0),
+}
+
+
 class TestStepper:
-    # the compiled recurrence against the table and the while loop: equal
-    # values (==) and equal reprs, which also pins the signs of zeros
+    # the compiled step against the table, the plain formulas and the
+    # while loop: equal values (==) and equal reprs, which also pins the
+    # signs of zeros
     @pytest.mark.parametrize("order", range(2, 21))
-    @pytest.mark.parametrize("start", ["complex", "real", "harmonic"])
+    @pytest.mark.parametrize("start", list(KERNEL_STARTS))
     def test_compiled_recurrence_matches_the_table(self, order, start):
-        # a complex start; a real start at a real energy, whose imaginary
-        # parts are all zeros; and g3 = 0, the harmonic model
-        x, p, g3 = {
-            "complex": (1.0531 - 0.0173j, -0.2417 + 0.0309j, 3.0 * 0.143),
-            "real": (-0.6123 + 0j, 0j, 3.0 * 0.1),
-            "harmonic": (1.0 + 0j, -0.25 + 0.5j, 0.0),
-        }[start]
-        new = trajectory._recurrence(order)(x, p, g3)
+        x, p, g3 = KERNEL_STARTS[start]
+        new = trajectory._recurrence(order)[0](x, p, g3, 1e-2, 1.0)[0]
         old = tabulated_coefficients(x, p, g3, order)
         assert len(new) == order + 1
         assert new == old
@@ -736,10 +790,46 @@ class TestStepper:
         if start == "real":
             assert all(c.imag == 0.0 for c in new)
 
+    @pytest.mark.parametrize("order", range(2, 21))
+    @pytest.mark.parametrize("start", list(KERNEL_STARTS))
+    @pytest.mark.parametrize("scale_floor", [1e-2, 10.0])
+    def test_compiled_step_matches_the_plain_formulas(self, order, start, scale_floor):
+        # the step length from the radius estimate, once cut to rho/e**2
+        # and once clipped to the time left, and the end state by _at
+        x, p, g3 = KERNEL_STARTS[start]
+        step = trajectory._recurrence(order)[0]
+        xs = tabulated_coefficients(x, p, g3, order)
+        scale = max(abs(x), abs(p), scale_floor)
+        inv_rho = max((abs(xs[-2]) / scale) ** (1.0 / (order - 1)),
+                      (abs(xs[-1]) / scale) ** (1.0 / order))
+        cut = 1.0 / (math.exp(2.0) * inv_rho)
+        for remaining, h in [(10.0 * cut, cut), (0.5 * cut, 0.5 * cut)]:
+            new = step(x, p, g3, scale_floor, remaining)
+            old = (xs, h, *trajectory._at(xs, h))
+            assert new == old
+            assert repr(new) == repr(old)
+
+    @pytest.mark.parametrize("order", range(2, 21))
+    def test_compiled_bound_matches_the_loop(self, order):
+        # the step polynomials of the three starts and random ones with
+        # zero, negative zero and negative real parts, over step lengths
+        # from 0 to past 1
+        rng = np.random.default_rng(order)
+        polynomials = [tabulated_coefficients(*start, order) for start in KERNEL_STARTS.values()]
+        for _ in range(20):
+            re = rng.normal(size=order + 1)
+            re[rng.random(order + 1) < 0.2] = 0.0
+            re[rng.random(order + 1) < 0.1] = -0.0
+            polynomials.append([complex(r, i) for r, i in zip(re, rng.normal(size=order + 1))])
+        bound = trajectory._recurrence(order)[1]
+        for xs in polynomials:
+            for h in (0.0, 0.37, 1.0, 2.5):
+                assert repr(bound(xs, h)) == repr(loop_bound(xs, h))
+
     def test_compiled_recurrence_returns_a_fresh_list(self):
-        recurrence = trajectory._recurrence(15)
-        first = recurrence(1.0 + 0j, 0.5j, 0.3)
-        assert recurrence(1.0 + 0j, 0.5j, 0.3) is not first
+        step = trajectory._recurrence(15)[0]
+        first = step(1.0 + 0j, 0.5j, 0.3, 1e-2, 1.0)[0]
+        assert step(1.0 + 0j, 0.5j, 0.3, 1e-2, 1.0)[0] is not first
 
     @pytest.mark.parametrize("rel_tol", [1e3, 1.0, 1e-6, 1e-10, 1e-13, 1e-300])
     @pytest.mark.parametrize("direction", [1.0, -1j, cmath.exp(0.7j)])
@@ -1436,6 +1526,70 @@ class TestLatticeReduction:
                 assert abs(value - walked) <= 1e-11 * abs(walked)
 
 
+class TestLatticeCache:
+    """``cubic._orbit_at`` reads its reduced lattice from a bounded cache
+    and must give the bits of ``uncached_orbit_at``."""
+
+    @staticmethod
+    def cell_points(periods, n_max):
+        """Complex times across the cell and at row starts up to n_max."""
+        T, T_prime = periods
+        points = [a * T + b * T_prime for a, b in [(0.1, 0.2), (0.37, -0.3), (0.8, 0.4),
+                                                   (-0.6, 0.7), (2.3, -1.2), (0.25, 0.25)]]
+        return points + [complex(0.0, -n * T.imag) for n in range(0, n_max, max(1, n_max // 7))]
+
+    # the four table1 lattices from x1, all but the first reduced by the
+    # swap T <-> T', and g = 0.1 at the real energy 2.5 above the barrier
+    # top, whose lattice needs the swap too
+    @pytest.mark.parametrize("g, energy, swapped", [
+        (0.12522, None, False), (0.14311, None, True), (0.16099, None, True),
+        (0.17888, None, True), (0.1, 2.5 + 0j, True)])
+    def test_bit_identical_to_the_uncached_sum(self, g, energy, swapped):
+        model, default_energy, _ = default_start(g)
+        energy = energy or default_energy
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        t0 = _pole_time(model, tps, tps.x1, 0j)
+        assert (cubic._reduced_lattice.__wrapped__(*periods)[0] != periods[0]) == swapped
+        rows = 1 if periods[0].imag == 0.0 else _row_bracket(model, periods, t0, tps.x3.real,
+                                                             1e300)[0]
+        for z in self.cell_points(periods, rows):
+            for _ in range(2):  # the call that fills the cache and one that reads it
+                new = _orbit_at(model, periods, t0, z)
+                old = uncached_orbit_at(model, periods, t0, z)
+                assert new == old
+                assert repr(new) == repr(old)
+
+    def test_zero_signs_are_part_of_the_key(self):
+        # a real period and an imaginary T' given with either sign of
+        # their zero parts: each variant gets its own entry, and each
+        # matches the uncached sum
+        model, energy = CubicModel(0.1), 0.3 + 0j
+        tps = turning_points(model, energy)
+        T, T_prime = _periods(model, tps)
+        assert T.imag == 0.0 and T_prime.real == 0.0
+        x0 = tps.x1 + 1e-3j
+        t0 = _pole_time(model, tps, x0, initial_momentum(model, energy, x0))
+        variants = [(complex(T.real, a), complex(b, T_prime.imag))
+                    for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        cubic._reduced_lattice.cache_clear()
+        for periods in variants:
+            for z in self.cell_points(periods, 1):
+                assert repr(_orbit_at(model, periods, t0, z)) == repr(
+                    uncached_orbit_at(model, periods, t0, z))
+        assert cubic._reduced_lattice.cache_info().currsize == 4
+
+    def test_cache_is_bounded(self):
+        # a grid of couplings, one lattice each, holds at most _LATTICES
+        size = cubic._reduced_lattice.cache_info().maxsize
+        assert size == cubic._LATTICES
+        for g in np.linspace(0.12, 0.18, size + 5):
+            model, energy, x1 = default_start(float(g))
+            tps = turning_points(model, energy)
+            _orbit_at(model, _periods(model, tps), _pole_time(model, tps, x1, 0j), 0.5j)
+        assert cubic._reduced_lattice.cache_info().currsize == size
+
+
 class TestJacobiOracle:
     """crossing_time and the closed-form row starts against the orbit of
     JacobiOrbit."""
@@ -1468,8 +1622,9 @@ class TestJacobiOracle:
         # the state at complex times across the cell, measured against the
         # larger of |x| and |p| since either may vanish (to 7.3e-12 near
         # the separatrix, 1e-14 elsewhere), from at most 7 terms a side:
-        # one sine for n = 0 and two for each other term (on the lattice
-        # as given, 28 a side near the separatrix)
+        # one sine per term, and one per constant term n != 0 while the
+        # lattice is not yet cached (on the lattice as given, 28 a side
+        # near the separatrix)
         model = CubicModel(g)
         tps = turning_points(model, energy)
         T, T_prime = periods = _periods(model, tps)
@@ -1576,7 +1731,7 @@ class TestReversibility:
 
     def test_duration_is_bounded_by_the_horizon(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(trajectory, "_steps", lambda *args: calls.append(args))
+        monkeypatch.setattr(trajectory, "_stepper", lambda *args: calls.append(args))
         model = CubicModel(0.1)
         x1 = turning_points(model, 0.3 + 0j).x1
         with pytest.raises(ValueError, match="t_max = 200000"):
