@@ -19,9 +19,10 @@ import datetime
 import functools
 import json
 import math
+import operator
 import re
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import chain, islice, repeat
 
@@ -354,7 +355,8 @@ def _cmd_crossing_time(args) -> int:
 def _cmd_table1(args) -> int:
     _emit_manifest(args, energy_policy="corrected", x0_policy="x1")
     rows = compute_table1(args.g, _config(args))
-    _emit(args, [f.name for f in fields(Table1Row)], map(astuple, rows))
+    names = [f.name for f in fields(Table1Row)]
+    _emit(args, names, map(operator.attrgetter(*names), rows))
     return 0
 
 

@@ -20,16 +20,15 @@ from one level of the first line of poles above real time, the number
 of rows of real time below it and the row on which the orbit is
 predicted to first reach x3 (``_row_bracket``); and the orbit's state
 x, p at any complex time from Weierstrass's function on the reduced
-lattice, summed as a cosecant series (DLMF 23.8, 23.18), with the
-reduction and the series' constant terms kept in a bounded cache per
-lattice.
+lattice, summed as a cosecant series (DLMF 23.8, 23.18), as a function
+of complex time (``_orbit``) that reduces the lattice and forms the
+series' constant terms once, when it is built.
 
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
 """
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -428,7 +427,7 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     So Re x first reaches the target at y* = artanh(1 / sqrt(2 R)) / 2
     with R = 1/3 + g (target - 1/(6 g)) / (2 c**2), left of P by u*.  From
     there Newton's method on (Re p, Re x - target) = 0 in (Re z, Im z),
-    with x and p from ``_orbit_at`` and x'' from the force, finds the
+    with x and p from ``_orbit`` and x'' from the force, finds the
     complex time z at which the maximum of Re x along real time touches
     the target; it stops once Im z moves by less than 1/100 of a row, and
     the prediction is None if it does not within 8 steps.  Moved by whole
@@ -447,6 +446,7 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
         return rows, None
     g = model.g
     try:
+        orbit = _orbit(model, periods, t0)
         pole = t0 + round(level * delta - b) * T_prime
         pole -= math.floor(pole.real / T.real) * T
         c = math.pi / abs(T)
@@ -457,7 +457,7 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
         # rows run towards -i Im T, so the line lies that way from row 0
         z = pole - complex(0.0, math.copysign(y / c, -T.imag)) - u
         for _ in range(8):
-            x, p = _orbit_at(model, periods, t0, z)
+            x, p = orbit(z)
             ddx = model.force(x)
             # d/d(Re z) of (x, p) is (p, x''), and d/d(Im z) is i times it
             f, h = p.real, x.real - target
@@ -472,32 +472,9 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     return rows, None
 
 
-# Lattices whose reduction ``_orbit_at`` keeps: a crossing search reads
-# one lattice, and a table of couplings one after another.
-_LATTICES = 16
-
-
-@functools.lru_cache(maxsize=_LATTICES)
-def _reduced_lattice(T: complex, T_prime: complex, *zero_signs: float):
-    """The reduced lattice of ``_orbit_at`` and what its sum needs of it:
-    (T, T', c, terms), with c = pi / T and, for each n = -last ... last,
-    the pair (n T', csc**2(c n T')), with 0.0 for the constant at n = 0.
-
-    ``zero_signs``, the signs of the four parts of (T, T'), only complete
-    the cache key: 0.0 == -0.0, so without them periods that differ in
-    the sign of a zero part would share an entry.
-    """
-    while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
-        T, T_prime = T_prime, T
-    c = cmath.pi / T
-    last = int(0.5 + 20.0 / abs((c * T_prime).imag))
-    terms = tuple((n * T_prime, 1.0 / cmath.sin(c * n * T_prime) ** 2 if n else 0.0)
-                  for n in range(-last, last + 1))
-    return T, T_prime, c, terms
-
-
-def _orbit_at(model: CubicModel, periods: tuple[complex, complex], t0: complex, z: complex):
-    """x and p = dx/dt at the complex time z of the orbit with a pole at t0.
+def _orbit(model: CubicModel, periods: tuple[complex, complex], t0: complex):
+    """The orbit with a pole at t0 as a function of complex time:
+    at(z) -> (x, p = dx/dt).
 
     The orbit is x(z) = 2 P(w) / g + 1 / (6 g) with w = z - t0 and P
     Weierstrass's function on the lattice (T, T') (see ``_pole_time``).
@@ -514,20 +491,26 @@ def _orbit_at(model: CubicModel, periods: tuple[complex, complex], t0: complex, 
     exp(-(2 |n| - 1) pi |Im(T'/T)|), 0.0043**(|n| - 1/2) at most: the
     terms with (|n| - 1/2) pi |Im(T'/T)| <= 20, at most 7 a side, reach
     1e-17 of the sum.  The reduction, c, the term count and the constant
-    terms depend on the lattice only, so they come from a bounded cache
-    (``_reduced_lattice``); each constant is still subtracted from its
-    own term, in the order of the sum.
+    terms depend on the lattice only, so they are formed here, once;
+    ``at`` still subtracts each constant from its own term, in the order
+    of the sum.
     """
     T, T_prime = periods
-    copysign = math.copysign
-    T, T_prime, c, terms = _reduced_lattice(
-        T, T_prime, copysign(1.0, T.real), copysign(1.0, T.imag),
-        copysign(1.0, T_prime.real), copysign(1.0, T_prime.imag))
-    w = z - t0 - round(_lattice_b((T, T_prime), z - t0)) * T_prime
-    wp, dwp = -1.0 / 3.0, 0j
-    for shift, constant in terms:
-        s = cmath.sin(a := c * (w + shift))
-        csc2 = 1.0 / (s * s)
-        wp += csc2 - constant
-        dwp += cmath.cos(a) / s * csc2
-    return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g
+    while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
+        T, T_prime = T_prime, T
+    c = cmath.pi / T
+    last = int(0.5 + 20.0 / abs((c * T_prime).imag))
+    terms = [(n * T_prime, 1.0 / cmath.sin(c * n * T_prime) ** 2 if n else 0.0)
+             for n in range(-last, last + 1)]
+
+    def at(z):
+        w = z - t0 - round(_lattice_b((T, T_prime), z - t0)) * T_prime
+        wp, dwp = -1.0 / 3.0, 0j
+        for shift, constant in terms:
+            s = cmath.sin(a := c * (w + shift))
+            csc2 = 1.0 / (s * s)
+            wp += csc2 - constant
+            dwp += cmath.cos(a) / s * csc2
+        return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g
+
+    return at

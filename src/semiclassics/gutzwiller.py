@@ -369,7 +369,12 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
         ):
             raise OrbitSchemaError(f"{source}: field '{field}' must be a list of numbers")
-        return [float(v) for v in raw]
+        try:
+            return [float(v) for v in raw]
+        except OverflowError as exc:
+            raise OrbitSchemaError(
+                f"{source}: field '{field}' holds an integer beyond the float range"
+            ) from exc
 
     for field in ("name", "lambda", "S", "w"):
         if field not in data:
@@ -399,10 +404,15 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
 
 
 def load_orbit(path) -> OrbitModel:
-    """Read an orbit-model JSON file; see orbit_from_dict for the schema."""
+    """Read an orbit-model JSON file; see orbit_from_dict for the schema.
+
+    A file that json cannot read raises OrbitSchemaError naming the file:
+    malformed JSON, or an integer longer than Python converts from a
+    string (sys.get_int_max_str_digits(), 4300 digits by default).
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise OrbitSchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise OrbitSchemaError(f"{path}: not readable as JSON ({exc})") from exc
     return orbit_from_dict(data, source=str(path))

@@ -56,10 +56,11 @@ first such row, below the poles and within the horizon: one lattice
 call (``cubic._row_bracket``) bounds the rows and predicts the row from
 the closed form, and a galloping search from the prediction confirms
 it.  Each try, row 0 included, starts row n from the closed-form state
-at -i n Im T (``cubic._orbit_at``, Weierstrass's function on the
-reduced lattice), which reads the start only through x0 and the branch
-of p0, and marches one period of real time from there, so its cost does
-not grow with t_c or t_max.
+at -i n Im T (``cubic._orbit``, Weierstrass's function on the reduced
+lattice), which reads the start only through x0 and the branch of p0,
+and marches one period of real time from there, so its cost does not
+grow with t_c or t_max.  The search builds the closed form and the
+stepper once and every try reads both.
 
 Everything here is pure and reentrant: independent integrations may run
 concurrently, and identical inputs produce bit-identical sample
@@ -77,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cubic import _check_position, _orbit_at, _periods, _pole_time, _row_bracket, turning_points
+from .cubic import _check_position, _orbit, _periods, _pole_time, _row_bracket, turning_points
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
@@ -565,17 +566,16 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     )
 
 
-def _reach_on_row(model, energy, periods, t0, n, target, cfg):
+def _reach_on_row(orbit, step, T, n, target):
     """First s in [0, Re T) at which Re x(n Re T + s) reaches ``target``,
     or None.
 
     T is a period, so x(n Re T + s) = x(s - i n Im T): every row starts
-    from the closed-form state at -i n Im T of the orbit with its pole at
-    t0 (``cubic._orbit_at``), and s is marched over one period from there.
+    from the closed-form state ``orbit`` (``cubic._orbit``) at -i n Im T,
+    and s is marched over one period from there by ``step`` (``_stepper``).
     """
-    x, p = _orbit_at(model, periods, t0, -1j * n * periods[0].imag)
-    step = _stepper(model, energy, cfg)
-    period = periods[0].real
+    x, p = orbit(-1j * n * T.imag)
+    period = T.real
     s = 0.0
     while s < period:
         xs, h, x, p, s_next = step(s, x, p, period)
@@ -645,7 +645,9 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     -i n Im T of the orbit with its pole at t0 (``cubic._pole_time``),
     which sees only x0 and the branch of p0, so t_c does not depend on
     |p0| within the shell slack 1e-10 max(1, |E|) of ``_check_shell``.
-    Each try marches one period with the whole-step root search.
+    That closed form (``cubic._orbit``) and the Taylor stepper are built
+    once per search, and each try marches one period with them and the
+    whole-step root search.
     A real period (Im T == 0.0 exactly, as for every real energy below
     the barrier top) makes the orbit periodic, so row 0 alone decides.
     A real start at a real energy below the barrier top moves on the
@@ -672,10 +674,12 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
                          "stays between x1 and x2")
     periods = _periods(model, tps)
     t0 = _pole_time(model, tps, x0, p0)
+    orbit = _orbit(model, periods, t0)
+    step = _stepper(model, E, cfg)
 
     @functools.cache
     def reach(n):
-        return _reach_on_row(model, E, periods, t0, n, target, cfg)
+        return _reach_on_row(orbit, step, periods[0], n, target)
 
     n, rows = 0, 1
     if reach(0) is None:

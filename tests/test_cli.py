@@ -467,8 +467,9 @@ class TestGutzwiller:
 
     def test_golden_files_without_numpy(self, capsys):
         # the CI's byte checks with numpy blocked, in one subprocess: the
-        # default table1, the 22-coupling grid at --t-max 1e30 (against
-        # this process's output) and the 52 response-scan rows
+        # default table1, the 22-coupling grid at --t-max 1e30 and the 52
+        # response-scan rows against their golden files; this process's
+        # grid output is held against its golden file too
         grid = ["table1", "--g", *(f"{0.05 + 0.01 * i:.2f}" for i in range(22)),
                 "--t-max", "1e30", "--format", "csv"]
         scan = [[name, re_e, im_e, "gutzwiller", "eval",
@@ -500,7 +501,8 @@ class TestGutzwiller:
         )
         table, wide, response = json.loads(result.stdout)
         assert table.encode() == (DATA / "table1.csv").read_bytes()
-        assert wide == run(capsys, *grid)[1]
+        assert wide.encode() == (DATA / "table1_grid.csv").read_bytes()
+        assert run(capsys, *grid)[1].encode() == (DATA / "table1_grid.csv").read_bytes()
         assert response.encode() == (DATA / "response_scan.csv").read_bytes()
 
     def test_malformed_orbit_reports_field(self, capsys, tmp_path):
@@ -512,6 +514,24 @@ class TestGutzwiller:
         )
         assert code != 0
         assert "lambda" in err
+
+    @pytest.mark.parametrize("field, digits, message", [
+        ("S", 400, "field 'S' holds an integer beyond the float range"),
+        ("w", 5000, "not readable as JSON"),
+    ])
+    def test_orbit_with_a_huge_integer_fails_cleanly(self, capsys, tmp_path, field, digits,
+                                                     message):
+        # float(10**400) overflows; 5000 digits are past the
+        # 4300 that json.loads converts by default
+        path = tmp_path / "huge.json"
+        text = json.dumps(LINEAR_ORBIT).replace(f'"{field}": [', f'"{field}": [1{"0" * digits}, ')
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            capsys, "gutzwiller", "eval", "--orbit", str(path), "--energy", "1.0"
+        )
+        assert code == 1
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
 
     def test_pole_failures_reported_per_index_without_aborting(self, capsys, tmp_path):
         # S = E^2 has dS/dE = 0 at the default starting point, so every

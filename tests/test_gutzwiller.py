@@ -679,6 +679,26 @@ class TestOrbitIO:
         with pytest.raises(OrbitSchemaError, match="JSON"):
             load_orbit(path)
 
+    def test_integer_past_the_float_range_names_the_field(self, tmp_path):
+        # float(10**400) raises OverflowError
+        path = tmp_path / "orbit.json"
+        path.write_text('{"name": "d", "lambda": 0, "S": [0.0, 1' + "0" * 400 + '], "w": [0.5]}',
+                        encoding="utf-8")
+        with pytest.raises(OrbitSchemaError,
+                           match=re.escape(f"{path}: field 'S' holds an integer beyond the "
+                                           "float range")):
+            load_orbit(path)
+
+    def test_integer_too_long_to_read_names_the_file(self, tmp_path):
+        # json.loads raises a plain ValueError for an integer of more than
+        # sys.get_int_max_str_digits() digits (4300 by default); a Python
+        # without that limit reads it and float() overflows instead
+        path = tmp_path / "orbit.json"
+        path.write_text('{"name": "d", "lambda": 0, "S": [0.0, 1.0], "w": [1' + "0" * 5000 + "]}",
+                        encoding="utf-8")
+        with pytest.raises(OrbitSchemaError, match=re.escape(f"{path}: ")):
+            load_orbit(path)
+
     def test_inconsistent_data_reported_as_schema_error(self):
         with pytest.raises(OrbitSchemaError, match="dS/dE"):
             orbit_from_dict(

@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -57,6 +59,19 @@ def test_every_export_resolves_to_its_module_object():
         value = getattr(semiclassics, name)
         module = value.__module__.rsplit(".", 1)[-1]
         assert getattr(getattr(semiclassics, module), name) is value
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # the floor comes from pyproject.toml by a regex, since tomllib is new
+    # in 3.11; ast.parse then refuses syntax newer than it (except*, say)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE)
+    version = (int(floor[1]), int(floor[2]))
+    paths = [path for top in ("src", "tests", "demos") for path in sorted((root / top).rglob("*.py"))]
+    assert len(paths) >= 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_cubic_imports_neither_numpy_nor_scipy():

@@ -14,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 
 from semiclassics import cubic, trajectory
 from semiclassics.cli import compute_table1, main as cli_main
-from semiclassics.cubic import _orbit_at, _periods, _pole_time, _row_bracket
+from semiclassics.cubic import _orbit, _periods, _pole_time, _row_bracket
 from tests.test_cubic import SEPARATRIX_ENERGIES, SEPARATRIX_G
 from semiclassics import (
     CubicModel,
@@ -322,13 +322,20 @@ def loop_bound(xs, h):
     return bound
 
 
-def uncached_orbit_at(model, periods, t0, z):
-    """``cubic._orbit_at`` with the lattice reduced, and c, the term count
-    and the constant terms computed, on every call: the reference for the
-    cached lattice, which must give the same bits."""
+def reduced_lattice(periods):
+    """The lattice (T, T') reduced as ``cubic._orbit`` reduces it."""
     T, T_prime = periods
     while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
         T, T_prime = T_prime, T
+    return T, T_prime
+
+
+def uncached_orbit_at(model, periods, t0, z):
+    """``cubic._orbit(model, periods, t0)(z)`` with the lattice reduced,
+    and c, the term count and the constant terms computed, on every call:
+    the reference for the closed form that forms them once, which must
+    give the same bits."""
+    T, T_prime = reduced_lattice(periods)
     w = z - t0 - round(cubic._lattice_b((T, T_prime), z - t0)) * T_prime
     c = cmath.pi / T
     last = int(0.5 + 20.0 / abs((c * T_prime).imag))
@@ -417,9 +424,10 @@ def bisected_row_searches():
             tps = turning_points(model, energy)
             periods = _periods(model, tps)
             t0 = _pole_time(model, tps, x1, 0j)
+            orbit = _orbit(model, periods, t0)
+            step = trajectory._stepper(model, energy, IntegratorConfig())
             for n in rows:
-                trajectory._reach_on_row(model, energy, periods, t0, n, tps.x3.real,
-                                         IntegratorConfig())
+                trajectory._reach_on_row(orbit, step, periods[0], n, tps.x3.real)
     searched = []
     for xs, h, target, bernstein in reached:
         a = [c.real for c in xs]
@@ -1170,11 +1178,11 @@ class TestLatticeReduction:
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
         assert math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real) == first_row
-        args = (model, energy, periods, t0)
-        cfg = IntegratorConfig()
+        args = (_orbit(model, periods, t0), trajectory._stepper(model, energy, IntegratorConfig()),
+                periods[0])
         scanned = next(
             n for n in itertools.count()
-            if trajectory._reach_on_row(*args, n, tps.x3.real, cfg) is not None
+            if trajectory._reach_on_row(*args, n, tps.x3.real) is not None
         )
         assert scanned == first_row
 
@@ -1215,7 +1223,7 @@ class TestLatticeReduction:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
-        monkeypatch.setattr(cubic, "_orbit_at", failing)
+        monkeypatch.setattr(cubic, "_orbit", lambda *args: failing)
         assert _row_bracket(model, periods, t0, tps.x3.real, 2e5) == (45, None)
         assert crossing_time(model, energy, x1, 0j) == 222.07908252223885
 
@@ -1290,19 +1298,28 @@ class TestLatticeReduction:
     def test_table1_work_count(self, monkeypatch):
         # the table's four crossings: 12 row tries (row 0, the predicted
         # row and the one below it), 296 Taylor steps, 21 closed-form
-        # evaluations, 9 for the predictions and 12 for the row starts, and
-        # one row bracket for each crossing, after row 0 misses
+        # evaluations, 9 for the predictions and 12 for the row starts, one
+        # row bracket for each crossing, after row 0 misses, and 8 closed
+        # forms and 4 steppers built: one of each per crossing search and
+        # one closed form per prediction
         steps = count_steps(monkeypatch)
-        calls = {"_reach_on_row": 0, "_orbit_at": 0, "_row_bracket": 0}
-        for name in ("_reach_on_row", "_row_bracket"):
+        calls = {"_reach_on_row": 0, "_row_bracket": 0, "_stepper": 0, "_orbit": 0,
+                 "evaluations": 0}
+        for name in ("_reach_on_row", "_row_bracket", "_stepper"):
             monkeypatch.setattr(trajectory, name,
                                 call_counter(calls, name, getattr(trajectory, name)))
-        counted = call_counter(calls, "_orbit_at", cubic._orbit_at)
+        orbit = cubic._orbit
+
+        def counted_orbit(*args):
+            calls["_orbit"] += 1
+            return call_counter(calls, "evaluations", orbit(*args))
+
         for module in (trajectory, cubic):
-            monkeypatch.setattr(module, "_orbit_at", counted)
+            monkeypatch.setattr(module, "_orbit", counted_orbit)
         compute_table1()
         assert steps[0] == 296
-        assert calls == {"_reach_on_row": 12, "_orbit_at": 21, "_row_bracket": 4}
+        assert calls == {"_reach_on_row": 12, "_row_bracket": 4, "_stepper": 4, "_orbit": 8,
+                         "evaluations": 21}
 
     @pytest.mark.parametrize("g, first_row", [
         (0.17888, 6), (0.16099, 30), (0.14311, 199), (0.12522, 2225)])
@@ -1349,9 +1366,10 @@ class TestLatticeReduction:
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x0, p0)
         assert _row_bracket(model, periods, t0, tps.x3.real, 2e5) == (142, 118)
-        args = (model, energy, periods, t0)
+        args = (_orbit(model, periods, t0), trajectory._stepper(model, energy, IntegratorConfig()),
+                periods[0])
         for n in (1, 2, 3):
-            assert trajectory._reach_on_row(*args, n, tps.x3.real, IntegratorConfig()) is None
+            assert trajectory._reach_on_row(*args, n, tps.x3.real) is None
 
     def test_row_zero_ignores_the_shell_slack(self):
         # row 0 starts from the closed form like every other row, so a p0
@@ -1398,7 +1416,7 @@ class TestLatticeReduction:
         if "poles" in cause:
             reach_on_row = trajectory._reach_on_row
             monkeypatch.setattr(trajectory, "_reach_on_row",
-                                lambda *args: reach_on_row(*args) if args[4] == 0 else None)
+                                lambda *args: reach_on_row(*args) if args[3] == 0 else None)
         model, default_energy, _ = default_start(g)
         energy = energy or default_energy
         tps = turning_points(model, energy)
@@ -1519,16 +1537,18 @@ class TestLatticeReduction:
         t0 = _pole_time(model, tps, x0, p0)
         rows = _row_bracket(model, periods, t0, tps.x3.real, 1e300)[0]
         cfg = IntegratorConfig(rel_tol=1e-13)
+        orbit = _orbit(model, periods, t0)
         for n in (1, rows // 2, rows - 1):
             z = complex(0.0, -n * periods[0].imag)
-            for value, walked in zip(_orbit_at(model, periods, t0, z),
+            for value, walked in zip(orbit(z),
                                      complex_walk(model, energy, x0, p0, z, cfg)):
                 assert abs(value - walked) <= 1e-11 * abs(walked)
 
 
 class TestLatticeCache:
-    """``cubic._orbit_at`` reads its reduced lattice from a bounded cache
-    and must give the bits of ``uncached_orbit_at``."""
+    """``cubic._orbit`` reduces its lattice and forms the constant terms
+    once, and every evaluation must give the bits of
+    ``uncached_orbit_at``."""
 
     @staticmethod
     def cell_points(periods, n_max):
@@ -1550,20 +1570,21 @@ class TestLatticeCache:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, tps.x1, 0j)
-        assert (cubic._reduced_lattice.__wrapped__(*periods)[0] != periods[0]) == swapped
+        assert (reduced_lattice(periods)[0] != periods[0]) == swapped
         rows = 1 if periods[0].imag == 0.0 else _row_bracket(model, periods, t0, tps.x3.real,
                                                              1e300)[0]
+        orbit = _orbit(model, periods, t0)
         for z in self.cell_points(periods, rows):
-            for _ in range(2):  # the call that fills the cache and one that reads it
-                new = _orbit_at(model, periods, t0, z)
+            for _ in range(2):  # a second call finds the closed form as the first left it
+                new = orbit(z)
                 old = uncached_orbit_at(model, periods, t0, z)
                 assert new == old
                 assert repr(new) == repr(old)
 
     def test_zero_signs_are_part_of_the_key(self):
         # a real period and an imaginary T' given with either sign of
-        # their zero parts: each variant gets its own entry, and each
-        # matches the uncached sum
+        # their zero parts: each variant's closed form matches the
+        # uncached sum
         model, energy = CubicModel(0.1), 0.3 + 0j
         tps = turning_points(model, energy)
         T, T_prime = _periods(model, tps)
@@ -1572,22 +1593,10 @@ class TestLatticeCache:
         t0 = _pole_time(model, tps, x0, initial_momentum(model, energy, x0))
         variants = [(complex(T.real, a), complex(b, T_prime.imag))
                     for a in (0.0, -0.0) for b in (0.0, -0.0)]
-        cubic._reduced_lattice.cache_clear()
         for periods in variants:
+            orbit = _orbit(model, periods, t0)
             for z in self.cell_points(periods, 1):
-                assert repr(_orbit_at(model, periods, t0, z)) == repr(
-                    uncached_orbit_at(model, periods, t0, z))
-        assert cubic._reduced_lattice.cache_info().currsize == 4
-
-    def test_cache_is_bounded(self):
-        # a grid of couplings, one lattice each, holds at most _LATTICES
-        size = cubic._reduced_lattice.cache_info().maxsize
-        assert size == cubic._LATTICES
-        for g in np.linspace(0.12, 0.18, size + 5):
-            model, energy, x1 = default_start(float(g))
-            tps = turning_points(model, energy)
-            _orbit_at(model, _periods(model, tps), _pole_time(model, tps, x1, 0j), 0.5j)
-        assert cubic._reduced_lattice.cache_info().currsize == size
+                assert repr(orbit(z)) == repr(uncached_orbit_at(model, periods, t0, z))
 
 
 class TestJacobiOracle:
@@ -1606,9 +1615,10 @@ class TestJacobiOracle:
         rows = _row_bracket(model, periods, t0, tps.x3.real, 1e300)[0]
         crossing_row = math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real)
         orbit = jacobi_orbit(g, energy)
+        closed_form = _orbit(model, periods, t0)
         for n in sorted({*range(1, rows, max(1, rows // 20)), crossing_row, rows - 1} - {0}):
             z = complex(0.0, -n * periods[0].imag)
-            for value, exact in zip(_orbit_at(model, periods, t0, z), orbit.state(z)):
+            for value, exact in zip(closed_form(z), orbit.state(z)):
                 assert abs(value - exact) <= 1e-11 * abs(exact)
 
     # energies whose lattice needs the swap T <-> T' (near the separatrix,
@@ -1622,9 +1632,9 @@ class TestJacobiOracle:
         # the state at complex times across the cell, measured against the
         # larger of |x| and |p| since either may vanish (to 7.3e-12 near
         # the separatrix, 1e-14 elsewhere), from at most 7 terms a side:
-        # one sine per term, and one per constant term n != 0 while the
-        # lattice is not yet cached (on the lattice as given, 28 a side
-        # near the separatrix)
+        # one sine per term, and one per constant term n != 0 when the
+        # closed form is built (on the lattice as given, 28 a side near
+        # the separatrix)
         model = CubicModel(g)
         tps = turning_points(model, energy)
         T, T_prime = periods = _periods(model, tps)
@@ -1637,11 +1647,14 @@ class TestJacobiOracle:
             sines.append(z)
             return sin(z)
 
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cmath, "sin", counted_sin)
+            closed_form = _orbit(model, periods, t0)
         for a, b in [(0.1, 0.2), (0.37, -0.3), (0.8, 0.4), (-0.6, 0.7), (2.3, -1.2), (0.25, 0.25)]:
             z = a * T + b * T_prime
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cmath, "sin", counted_sin)
-                x, p = _orbit_at(model, periods, t0, z)
+                x, p = closed_form(z)
             x_exact, p_exact = orbit.state(z)
             scale = max(abs(x_exact), abs(p_exact))
             assert max(abs(x - x_exact), abs(p - p_exact)) <= 1e-11 * scale
@@ -1690,7 +1703,9 @@ class TestJacobiOracle:
         tps = turning_points(model, energy)
         periods = _periods(model, tps)
         t0 = _pole_time(model, tps, x1, 0j)
-        trajectory._reach_on_row(model, energy, periods, t0, 2, tps.x3.real, IntegratorConfig())
+        trajectory._reach_on_row(_orbit(model, periods, t0),
+                                 trajectory._stepper(model, energy, IntegratorConfig()),
+                                 periods[0], 2, tps.x3.real)
 
     # the same from x1 + 0.05i, against the crossing at rel_tol 1e-13
     @pytest.mark.parametrize("g, exact", [
