@@ -16,13 +16,14 @@ a real root and a conjugate pair for k > 0.
 The orbits at energy E are elliptic functions of complex time, and the
 crossing search's whole lattice geometry lives here in private helpers:
 the period lattice and the poles from Carlson's symmetric integral R_F;
-from one level of the first line of poles above real time, the number
-of rows of real time below it and the row on which the orbit is
-predicted to first reach x3 (``_row_bracket``); and the orbit's state
-x, p at any complex time from Weierstrass's function on the reduced
-lattice, summed as a cosecant series (DLMF 23.8, 23.18), as a function
-of complex time (``_orbit``) that reduces the lattice and forms the
-series' constant terms once, when it is built.
+the orbit's state x, p at any complex time from Weierstrass's function
+on the reduced lattice, summed as a cosecant series (DLMF 23.8, 23.18),
+as a function of complex time (``_orbit``) that reduces the lattice and
+forms the series' constant terms once, when it is built; and, from one
+level of the first line of poles above real time, the number of rows of
+real time below it and the row on which that closed form predicts the
+orbit first reaches x3 (``_row_bracket``).  Those are lattice answers
+only: the horizon and a real period are the crossing search's own.
 
 Positions and energies are plain Python complex numbers; all functions
 here are pure and safe to call concurrently.
@@ -405,19 +406,19 @@ def _lattice_b(periods: tuple[complex, complex], z: complex) -> float:
 
 
 def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: complex,
-                 target: float, t_max: float) -> tuple[int, int | None]:
-    """The number of rows n = 0, 1, ... to search for the first on which
-    Re x reaches ``target``, and the predicted first row (n >= 1, or
-    None), for the orbit with a pole at t0.
+                 orbit, target: float) -> tuple[int, int | None]:
+    """The number of rows n = 0, 1, ... of real time below the first line
+    of poles, and the row (n >= 1, or None) on which Re x is predicted to
+    first reach ``target``, for the orbit ``orbit`` (``_orbit``) with a
+    pole at t0 and a period T with Im T != 0.
 
     Real time n Re T + s is the complex time s - i n Im T ("row n"), and
     row n's segment -i n Im T + [0, Re T) covers b in [n delta, (n + 1)
     delta) with delta = b(-i Im T), while the poles sit on the lines
-    b = b(t0) mod 1.  The rows searched run up to the one that meets the
-    nearest such line, at level b / delta (at least row 0, real time
-    itself, and only row 0 for a real T, whose orbit is periodic), and
-    stop at the horizon t_max.  For the start at rest at x1 the pole is
-    T'/2 and the count is about (|Im T'|/2) / |Im T|.
+    b = b(t0) mod 1.  The rows run up to the one that meets the nearest
+    such line, at level b / delta, and at least row 0, real time itself,
+    is counted.  For the start at rest at x1 the pole is T'/2 and the
+    count is about (|Im T'|/2) / |Im T|.
 
     The prediction needs more than one row.  The line of poles at that
     level is modelled alone: near it x = 2 c**2 (csc**2(c w) - 1/3) / g +
@@ -427,7 +428,7 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     So Re x first reaches the target at y* = artanh(1 / sqrt(2 R)) / 2
     with R = 1/3 + g (target - 1/(6 g)) / (2 c**2), left of P by u*.  From
     there Newton's method on (Re p, Re x - target) = 0 in (Re z, Im z),
-    with x and p from ``_orbit`` and x'' from the force, finds the
+    with x and p from ``orbit`` and x'' from the force, finds the
     complex time z at which the maximum of Re x along real time touches
     the target; it stops once Im z moves by less than 1/100 of a row, and
     the prediction is None if it does not within 8 steps.  Moved by whole
@@ -435,18 +436,14 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     time, so the first row at or past it is ceil(Im z / -Im T).
     """
     T, T_prime = periods
-    rows = math.ceil(t_max / T.real)
-    if T.imag == 0.0:
-        return min(rows, 1), None
     delta = _lattice_b(periods, complex(0.0, -T.imag))
     b = _lattice_b(periods, t0)
     level = (b / delta) % (1.0 / abs(delta))
-    rows = min(rows, max(1, math.ceil(level)))
-    if rows <= 1:
+    rows = max(1, math.ceil(level))
+    if rows == 1:
         return rows, None
     g = model.g
     try:
-        orbit = _orbit(model, periods, t0)
         pole = t0 + round(level * delta - b) * T_prime
         pole -= math.floor(pole.real / T.real) * T
         c = math.pi / abs(T)

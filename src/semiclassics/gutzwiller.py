@@ -358,7 +358,8 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
     "w": [numbers], "T": [numbers]}.  Arrays are ascending-power
     coefficients.  "T" may be omitted when S is linear, in which case
     it is inferred as dS/dE.  Violations raise OrbitSchemaError naming
-    the field.
+    the field, among them a "lambda" whose lambda pi / 2 is not a finite
+    float.
     """
     if not isinstance(data, dict):
         raise OrbitSchemaError(f"{source}: document must be a JSON object")
@@ -392,7 +393,7 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
             f"{source}: missing field 'T' (required unless S is linear)"
         )
     try:
-        return OrbitModel(
+        orbit = OrbitModel(
             name=data["name"],
             s_coeffs=tuple(s_coeffs),
             w_coeffs=tuple(w_coeffs),
@@ -401,6 +402,15 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
         )
     except ValueError as exc:
         raise OrbitSchemaError(f"{source}: {exc}") from exc
+    # every evaluation forms the phase lambda pi / 2 as a float
+    try:
+        if math.isfinite(orbit.lam * math.pi / 2.0):
+            return orbit
+    except OverflowError:
+        pass
+    raise OrbitSchemaError(
+        f"{source}: field 'lambda' is too large: lambda pi / 2 is beyond the float range"
+    )
 
 
 def load_orbit(path) -> OrbitModel:

@@ -53,8 +53,9 @@ s - i n Im T: after n oscillations the orbit runs along row n, a line
 n |Im T| closer to the first row of poles.  Re x reaches Re x3 once a
 row comes close enough to it.  ``crossing_time`` searches n for the
 first such row, below the poles and within the horizon: one lattice
-call (``cubic._row_bracket``) bounds the rows and predicts the row from
-the closed form, and a galloping search from the prediction confirms
+call (``cubic._row_bracket``) counts the rows below the poles and
+predicts the row from the closed form, the search clips the rows to the
+horizon itself, and a galloping search from the prediction confirms
 it.  Each try, row 0 included, starts row n from the closed-form state
 at -i n Im T (``cubic._orbit``, Weierstrass's function on the reduced
 lattice), which reads the start only through x0 and the branch of p0,
@@ -630,14 +631,16 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
 
     t_c = n Re T + s for the first row n (see the module docstring) on
     which Re x reaches Re x3 at some s in [0, Re T).  Row 0, the first
-    period of real time, is tried first.  Only if it misses does
-    ``cubic._row_bracket`` give the rows above it, up to the first row
-    of poles and the horizon, and the row that the closed form predicts;
-    they are searched from the prediction by steps of 1, 2, 4, ... rows
-    away from it until the first row is bracketed, then by bisection
-    (``_first_row``).  From row 1 on, every row after the first that
-    reaches Re x3 does too, so any prediction gives the same row, and a
-    failed one falls back to bisecting them all.  Row 0 is outside that
+    period of real time, is tried first.  Only if it misses, and T is not
+    real, does ``cubic._row_bracket`` count the rows below the first line
+    of poles and predict the first row from the closed form; the rows
+    above row 0, up to that line and clipped here to the ceil(t_max /
+    Re T) rows the horizon reaches, are searched from the prediction by
+    steps of 1, 2, 4, ... rows away from it until the first row is
+    bracketed, then by bisection (``_first_row``).  From row 1 on, every
+    row after the first that reaches Re x3 does too, so any prediction
+    gives the same row, and a failed one falls back to bisecting them
+    all.  Row 0 is outside that
     order: it can cross on the start's own first excursion, which the
     shifted rows no longer reach, so it goes first.
 
@@ -649,7 +652,8 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     once per search, and each try marches one period with them and the
     whole-step root search.
     A real period (Im T == 0.0 exactly, as for every real energy below
-    the barrier top) makes the orbit periodic, so row 0 alone decides.
+    the barrier top) makes the orbit periodic, so row 0 alone decides,
+    with no lattice call.
     A real start at a real energy below the barrier top moves on the
     real axis between x1 and x2, so it never crosses and no step is
     taken.
@@ -672,27 +676,28 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     if all(z.imag == 0.0 for z in (E, x0, p0, *tps)):
         raise NoCrossing(f"{missed}: a real start at a real energy below the barrier top "
                          "stays between x1 and x2")
-    periods = _periods(model, tps)
+    T, _ = periods = _periods(model, tps)
     t0 = _pole_time(model, tps, x0, p0)
     orbit = _orbit(model, periods, t0)
     step = _stepper(model, E, cfg)
 
     @functools.cache
     def reach(n):
-        return _reach_on_row(orbit, step, periods[0], n, target)
+        return _reach_on_row(orbit, step, T, n, target)
 
     n, rows = 0, 1
     if reach(0) is None:
-        rows, guess = _row_bracket(model, periods, t0, target, cfg.t_max)
+        if T.imag == 0.0:
+            raise NoCrossing(f"{missed}: the period T = {T.real:.6g} is real, so the orbit "
+                             "repeats its first period")
+        poles, guess = _row_bracket(model, periods, t0, orbit, target)
+        rows = min(poles, math.ceil(cfg.t_max / T.real))
         n = _first_row(lambda row: reach(row) is not None, 1, rows, guess)
-    if n >= rows and periods[0].imag == 0.0:
-        raise NoCrossing(f"{missed}: the period T = {periods[0].real:.6g} is real, so the "
-                         "orbit repeats its first period")
-    if n >= rows and rows * periods[0].real < cfg.t_max:
-        raise NoCrossing(f"{missed} on the {rows} rows below the first line of poles")
-    if n >= rows or n * periods[0].real + reach(n) > cfg.t_max:
+        if n >= rows and rows * T.real < cfg.t_max:
+            raise NoCrossing(f"{missed} on the {rows} rows below the first line of poles")
+    if n >= rows or n * T.real + reach(n) > cfg.t_max:
         raise NoCrossing(f"{missed} within t_max = {cfg.t_max:g}")
-    return n * periods[0].real + reach(n)
+    return n * T.real + reach(n)
 
 
 def reversibility_error(

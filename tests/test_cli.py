@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -237,13 +238,15 @@ class TestTrajectory:
         manifest = json.loads(err.strip().split("\n")[0])
         assert manifest["parameters"]["t_max"] == 5.0
 
+    # the arguments of tests/data/trajectory.csv
+    GOLDEN_ARGS = ["trajectory", "--g", "0.14311", "--t-max", "10"]
+
     def test_golden_csv(self, capsys, tmp_path):
         # every sample is evaluated on a step polynomial from the end state
         # of the step before: byte for byte against tests/data/trajectory.csv;
         # a CI step checks the console script the same way
         out_path = tmp_path / "traj.csv"
-        code, _, _ = run(capsys, "trajectory", "--g", "0.14311", "--t-max", "10",
-                         "--out", str(out_path))
+        code, _, _ = run(capsys, *self.GOLDEN_ARGS, "--out", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == (DATA / "trajectory.csv").read_bytes()
 
@@ -448,6 +451,9 @@ class TestGutzwiller:
     # the energies of tests/data/response_scan.csv
     SCAN_ENERGIES = [(f"{x / 100:.2f}", "0") for x in range(30, 271, 10)] + [("1.00", "-0.05")]
 
+    # the couplings of tests/data/table1_grid.csv
+    WIDE_GRID = [f"{0.05 + 0.01 * i:.2f}" for i in range(22)]
+
     def test_response_scan_golden_csv(self, capsys):
         # g(E) of both demo orbits at E = 0.30, 0.40, ..., 2.70 and 1 - 0.05i,
         # byte for byte, against tests/data/response_scan.csv; a CI step
@@ -470,8 +476,7 @@ class TestGutzwiller:
         # default table1, the 22-coupling grid at --t-max 1e30 and the 52
         # response-scan rows against their golden files; this process's
         # grid output is held against its golden file too
-        grid = ["table1", "--g", *(f"{0.05 + 0.01 * i:.2f}" for i in range(22)),
-                "--t-max", "1e30", "--format", "csv"]
+        grid = ["table1", "--g", *self.WIDE_GRID, "--t-max", "1e30", "--format", "csv"]
         scan = [[name, re_e, im_e, "gutzwiller", "eval",
                  "--orbit", str(DEMOS / "orbits" / f"{name}.json"),
                  "--energy", f"re={re_e},im={im_e}", "--format", "csv"]
@@ -532,6 +537,21 @@ class TestGutzwiller:
         assert code == 1
         assert err.startswith(f"error: {path}: {message}")
         assert "Traceback" not in err
+
+    # 10**400 overflows float(); 1.5e308 * pi / 2 is inf
+    @pytest.mark.parametrize("lam", ["1" + "0" * 400, "15" + "0" * 307])
+    @pytest.mark.parametrize("command", [["eval", "--energy", "1.0"],
+                                         ["poles", "--k-max", "0", "--s-max", "0"]])
+    def test_orbit_with_a_huge_lambda_fails_cleanly(self, capsys, tmp_path, lam, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(LINEAR_ORBIT).replace('"lambda": 2', f'"lambda": {lam}'),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "gutzwiller", command[0], "--orbit", str(path),
+                             *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {path}: field 'lambda' is too large: lambda pi / 2 is beyond "
+                       "the float range\n")
 
     def test_pole_failures_reported_per_index_without_aborting(self, capsys, tmp_path):
         # S = E^2 has dS/dE = 0 at the default starting point, so every
@@ -828,3 +848,20 @@ def test_json_rows_are_the_csv_rows(capsys, tmp_path, monkeypatch, argv):
                 assert cell == str(value)
             else:
                 assert float(cell) == value
+
+
+def test_workflow_golden_steps_match_the_tests():
+    # the CI workflow rebuilds the golden files with the console script;
+    # its inputs, read from the YAML as plain text, must be the tier-1
+    # tests' own
+    workflow = (pathlib.Path(__file__).parent.parent / ".github" / "workflows"
+                / "tests.yml").read_text(encoding="utf-8")
+    named = set(re.findall(r"tests/data/([\w.-]+\.csv)", workflow))
+    assert named == {"table1.csv", "table1_grid.csv", "trajectory.csv", "response_scan.csv"}
+    assert all((DATA / name).is_file() for name in named)
+    (grid,) = re.findall(r'grid="([^"]*)"', workflow)
+    assert grid.split() == TestGutzwiller.WIDE_GRID
+    (energies,) = re.findall(r"for e in ([^;]*);", workflow)
+    assert [tuple(e.split(",")) for e in energies.split()] == TestGutzwiller.SCAN_ENERGIES
+    (args,) = re.findall(r"semiclassics (trajectory .*?) --out", workflow)
+    assert args.split() == TestTrajectory.GOLDEN_ARGS
