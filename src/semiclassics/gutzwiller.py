@@ -98,9 +98,26 @@ class PoleIndex:
 
     def __post_init__(self):
         for name in ("k", "s"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            _check_count(name, getattr(self, name))
+
+
+def _shown(value):
+    """repr(value), except for an int past the float range, which repr may
+    refuse to print (past 4,300 digits by default)."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return "an integer beyond the float range"
+    return repr(value)
+
+
+def _check_count(name, value):
+    """Raise a ValueError naming ``name`` unless ``value`` is a nonnegative
+    int that a float holds: every use converts it to one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {_shown(value)}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large: {name} is beyond the float range") from None
 
 
 def _polyval(coeffs, z):
@@ -140,7 +157,16 @@ class OrbitModel:
             object.__setattr__(self, field, coeffs)
         if not isinstance(self.lam, int) or isinstance(self.lam, bool) or self.lam < 0:
             raise ValueError(
-                f"focal-point count lambda must be a nonnegative integer, got {self.lam!r}"
+                f"focal-point count lambda must be a nonnegative integer, got {_shown(self.lam)}"
+            )
+        # every evaluation forms the phase lambda pi / 2 as a float
+        try:
+            finite = math.isfinite(self.lam * math.pi / 2.0)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                "field 'lambda' is too large: lambda pi / 2 is beyond the float range"
             )
         # dS/dE = T on 10 sample energies, when both sides are present.
         if len(self.t_coeffs) >= 1 and len(self.s_coeffs) >= 2:
@@ -272,8 +298,7 @@ def sinh_expansion_error(x: float, n_kept: int) -> float:
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise ValueError(f"expansion requires x > 0, got {x!r}")
-    if not isinstance(n_kept, int) or isinstance(n_kept, bool) or n_kept < 0:
-        raise ValueError(f"n_kept must be a nonnegative integer, got {n_kept!r}")
+    _check_count("n_kept", n_kept)
     return 2.0 * math.exp(-(2.0 * n_kept + 3.0) * x) / (1.0 - math.exp(-2.0 * x))
 
 
@@ -393,7 +418,7 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
             f"{source}: missing field 'T' (required unless S is linear)"
         )
     try:
-        orbit = OrbitModel(
+        return OrbitModel(
             name=data["name"],
             s_coeffs=tuple(s_coeffs),
             w_coeffs=tuple(w_coeffs),
@@ -402,15 +427,6 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
         )
     except ValueError as exc:
         raise OrbitSchemaError(f"{source}: {exc}") from exc
-    # every evaluation forms the phase lambda pi / 2 as a float
-    try:
-        if math.isfinite(orbit.lam * math.pi / 2.0):
-            return orbit
-    except OverflowError:
-        pass
-    raise OrbitSchemaError(
-        f"{source}: field 'lambda' is too large: lambda pi / 2 is beyond the float range"
-    )
 
 
 def load_orbit(path) -> OrbitModel:

@@ -239,6 +239,16 @@ class TestOrbitModelValidation:
         OrbitModel(name="ok", s_coeffs=(3.0,), w_coeffs=(0.5,),
                    t_coeffs=(1.0,), lam=0)
 
+    # 10**400 overflows float(); 15 * 10**307 * pi / 2 is inf.  Any
+    # evaluation of such an orbit would form lambda pi / 2, so the model
+    # itself refuses it, in the words the orbit-file error repeats
+    @pytest.mark.parametrize("lam", [10**400, 15 * 10**307], ids=["10**400", "15e307"])
+    def test_lambda_past_the_float_range_rejected(self, lam):
+        with pytest.raises(ValueError, match=re.escape(
+                "field 'lambda' is too large: lambda pi / 2 is beyond the float range")):
+            OrbitModel(name="big", s_coeffs=LINEAR.s_coeffs, w_coeffs=LINEAR.w_coeffs,
+                       t_coeffs=LINEAR.t_coeffs, lam=lam)
+
     @pytest.mark.parametrize("field", ["s_coeffs", "w_coeffs", "t_coeffs"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_coefficients_rejected(self, field, bad):
@@ -532,6 +542,32 @@ class TestPoleResidual:
             PoleIndex(-1, 0)
         with pytest.raises(ValueError):
             PoleIndex(0, -2)
+
+
+# Integers past the float range: each is refused at validation by a
+# ValueError naming its field, not by an OverflowError in a later sum, and
+# the message does not print the integer (repr refuses one of more than
+# 4,300 digits)
+@pytest.mark.parametrize("build, message", [
+    (lambda: PoleIndex(10**400, 0), "k is too large: k is beyond the float range"),
+    (lambda: PoleIndex(0, 10**400), "s is too large: s is beyond the float range"),
+    (lambda: sinh_expansion_error(1.0, 10**400),
+     "n_kept is too large: n_kept is beyond the float range"),
+    (lambda: PoleIndex(-10**5000, 0),
+     "k must be a nonnegative integer, got an integer beyond the float range"),
+    (lambda: PoleIndex(0, -10**5000),
+     "s must be a nonnegative integer, got an integer beyond the float range"),
+    (lambda: sinh_expansion_error(1.0, -10**5000),
+     "n_kept must be a nonnegative integer, got an integer beyond the float range"),
+    (lambda: OrbitModel(name="big", s_coeffs=(0.0, 1.0), w_coeffs=(0.5,), t_coeffs=(1.0,),
+                        lam=-10**5000),
+     "focal-point count lambda must be a nonnegative integer, got an integer beyond the "
+     "float range"),
+], ids=["k", "s", "n_kept", "negative k", "negative s", "negative n_kept", "negative lambda"])
+def test_integers_past_the_float_range_rejected(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestFindPole:

@@ -169,13 +169,18 @@ def jacobi_crossing(g, energy, t_c, eps=1e-6):
         return float(b)
 
 
+def march_steps(model, energy, x, p, t_end, cfg):
+    """The package's march from (x, p) at t = 0 through t_end, built by
+    ``trajectory._stepper``: (t, h, xs, x, p) for each step."""
+    return trajectory._stepper(model, energy, cfg)(x, p, t_end)
+
+
 def march_crossing_time(model, energy, x0, p0, t_max=2e5):
     """The crossing time found by marching through real time, step by step,
     with the package's stepper and in-step root search: the reference for
     the lattice reduction, or None if Re x3 is not reached by t_max."""
     target = turning_points(model, energy).x3.real
-    cfg = IntegratorConfig()
-    for t, h, xs in trajectory._steps(model, energy, x0, p0, t_max, cfg):
+    for t, h, xs, _x, _p in march_steps(model, energy, x0, p0, t_max, IntegratorConfig()):
         tau = trajectory._first_reach(xs, h, target)
         if tau is not None:
             return t + tau
@@ -190,7 +195,7 @@ def per_sample_dense_output(model, energy, x0, p0, cfg):
     p = np.empty_like(x)
     x[0], p[0] = x0, p0
     i = 1
-    for t, h, xs in trajectory._steps(model, energy, x0, p0, cfg.t_max, cfg):
+    for t, h, xs, _x, _p in march_steps(model, energy, x0, p0, cfg.t_max, cfg):
         while i < len(grid) and grid[i] - t <= h:
             x[i], p[i] = trajectory._at(xs, grid[i] - t)
             i += 1
@@ -227,9 +232,9 @@ def tabulated_coefficients(x, p, g3, order):
 def while_loop_steps(model, energy, x, p, t_end, cfg, direction=1.0):
     """The stepper with its recurrence as a plain loop: the Cauchy
     product walked by a ``while j < i`` loop, the exponents and the drift
-    limit recomputed on every step.  ``_steps``, whose recurrence is
-    compiled once per order, must yield the same (t, h, xs) bit for
-    bit."""
+    limit recomputed on every step.  The march of ``_stepper``, whose
+    recurrence is compiled once per order, must yield the same
+    (t, h, xs, x, p) bit for bit."""
     eps = max(trajectory._EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
     order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
     scale_floor = trajectory._EPS_PER_TOL * cfg.abs_tol / eps
@@ -265,7 +270,7 @@ def while_loop_steps(model, energy, x, p, t_end, cfg, direction=1.0):
         x, p = trajectory._at(xs, h)
         p /= direction
         trajectory._check_drift(energy, abs(hamiltonian(model, x, p) - energy))
-        yield t, h, xs
+        yield t, h, xs, x, p
         t = t_end if h == remaining else t + h
 
 
@@ -278,7 +283,7 @@ def complex_walk(model, energy, x, p, z, cfg):
         return x, p
     length = abs(z)
     direction = z / length
-    for _t, h, xs in while_loop_steps(model, energy, x, p, length, cfg, direction):
+    for _t, h, xs, _x, _p in while_loop_steps(model, energy, x, p, length, cfg, direction):
         pass
     x, p = trajectory._at(xs, h)
     return x, p / direction
@@ -292,19 +297,19 @@ def default_start(g):
 
 
 def count_steps(monkeypatch):
-    """Count the Taylor steps that every later stepper takes (a step that
+    """Count the Taylor steps that every later march yields (a step that
     raises is not counted): the sampling, the round trips and the row
-    marches all step through ``trajectory._stepper``."""
+    marches all walk the march of ``trajectory._stepper``."""
     counter = [0]
     stepper = trajectory._stepper
 
     def counting(*args):
-        step = stepper(*args)
+        march = stepper(*args)
 
-        def counted(*state):
-            taken = step(*state)
-            counter[0] += 1
-            return taken
+        def counted(*start):
+            for taken in march(*start):
+                counter[0] += 1
+                yield taken
 
         return counted
 
@@ -634,7 +639,7 @@ class TestIntegrate:
         # stepper would never finish: refused before any step, at any
         # horizon beyond the default t_max
         calls = []
-        monkeypatch.setattr(trajectory, "_steps", lambda *args: calls.append(args))
+        monkeypatch.setattr(trajectory, "_stepper", lambda *args: calls.append(args))
         for t_max in (1e15, 200000.5):
             cfg = IntegratorConfig(t_max=t_max, sample_interval=t_max / 1000)
             with pytest.raises(ValueError, match="exceeds the limit of 200000"):
@@ -762,12 +767,12 @@ class TestIntegrate:
 
 
 def steps_until_failure(steps, args):
-    """The (t, h, xs) that ``steps(*args)`` yields, and the message of
-    the drift failure that ends them, or None."""
+    """The (t, h, xs, x, p) that ``steps(*args)`` yields, and the message
+    of the drift failure that ends them, or None."""
     out = []
     try:
-        for t, h, xs in steps(*args):
-            out.append((t, h, list(xs)))
+        for step in steps(*args):
+            out.append(step)
     except EnergyDriftExceeded as exc:
         return out, str(exc)
     return out, None
@@ -861,7 +866,7 @@ class TestStepper:
         args = (model, energy, x0, p0, 30.0, cfg)
         # at orders 2 (rel_tol 1e3) and 4 (rel_tol 1) the drift guard
         # trips on the first step: both must word the failure alike
-        new = steps_until_failure(trajectory._steps, args)
+        new = steps_until_failure(march_steps, args)
         old = steps_until_failure(while_loop_steps, args)
         if rel_tol <= 1e-6:
             assert new[1] is None and len(new[0]) > 2
@@ -876,7 +881,7 @@ class TestStepper:
         model = CubicModel(0.143)
         x0 = 1e-3 + 1e-4j
         args = (model, model.potential(x0), x0, 0j, 30.0, IntegratorConfig(rel_tol=rel_tol))
-        new = steps_until_failure(trajectory._steps, args)
+        new = steps_until_failure(march_steps, args)
         old = steps_until_failure(while_loop_steps, args)
         assert (len(new[0]), new[1] is None) == {1e3: (96, False), 1.0: (113, True)}[rel_tol]
         assert new == old
@@ -888,10 +893,65 @@ class TestStepper:
         model = CubicModel(0.1)
         x1 = turning_points(model, 0.3 + 0j).x1
         args = (model, 0.3 + 0j, x1, 0j, 20.0, IntegratorConfig())
-        new = [xs for _t, _h, xs in trajectory._steps(*args)]
-        old = [xs for _t, _h, xs in while_loop_steps(*args)]
-        assert all(c.imag == 0.0 for xs in new for c in xs)
+        new = list(march_steps(*args))
+        old = list(while_loop_steps(*args))
+        assert all(c.imag == 0.0 for step in new for c in (*step[2], *step[3:]))
         assert repr(new) == repr(old)
+
+    def test_marches_of_one_stepper_are_independent(self):
+        # one stepper's marches, one abandoned after three steps as a row
+        # march is on a hit and two walked in turns, yield the steps of
+        # marches from fresh steppers, to the bit
+        model, energy, x1 = default_start(0.14311)
+        x0 = x1 + 0.05j
+        starts = [(x1, 0j), (x0, initial_momentum(model, energy, x0))]
+        cfg = IntegratorConfig()
+        fresh = [list(march_steps(model, energy, x, p, 30.0, cfg)) for x, p in starts]
+        march = trajectory._stepper(model, energy, cfg)
+        abandoned = march(*starts[1], 30.0)
+        head = [next(abandoned) for _ in range(3)]
+        walked = ([], [])
+        for pair in itertools.zip_longest(*(march(x, p, 30.0) for x, p in starts)):
+            for steps, step in zip(walked, pair):
+                if step is not None:
+                    steps.append(step)
+        del abandoned
+        assert len(fresh[0]) > 3 and len(fresh[1]) > 3
+        assert repr(head) == repr(fresh[1][:3])
+        assert repr(list(walked)) == repr(fresh)
+        assert repr(list(march(*starts[0], 30.0))) == repr(fresh[0])
+
+    # one period of real time at the table1 couplings, as the row marches
+    # walk it, and the fixed horizons (the g = 0.17888 orbit trips the
+    # drift guard before t = 123.456, after its crossing near t = 40), all
+    # from x1 at rest; and a march of two steps from the state seven steps
+    # on, whose last step starts before half its end time, so that
+    # t + (t_end - t) rounds to below t_end: the march ends there only
+    # because a step that is the time left lands on t_end
+    @pytest.mark.parametrize("g, t_end, skip", [
+        *((g, "Re T", 0) for g in (0.17888, 0.16099, 0.14311, 0.12522)),
+        *((g, 50.0, 0) for g in (0.17888, 0.16099, 0.14311, 0.12522)),
+        *((g, 123.456, 0) for g in (0.16099, 0.14311, 0.12522)),
+        (0.14311, 0.9916669472850331, 7),
+    ])
+    def test_march_ends_exactly_at_its_end_time(self, g, t_end, skip):
+        # each step starts where the one before it ended and is shorter
+        # than the time left, and the last step is the time left: the
+        # march lands on t_end, with no sliver of a step after it
+        model, energy, x, p = *default_start(g), 0j
+        if t_end == "Re T":
+            t_end = _periods(model, turning_points(model, energy))[0].real
+        cfg = IntegratorConfig()
+        for _t, _h, _xs, x, p in itertools.islice(march_steps(model, energy, x, p, 10.0, cfg),
+                                                   skip):
+            pass
+        steps = list(march_steps(model, energy, x, p, t_end, cfg))
+        assert steps[0][0] == 0.0
+        for (t, h, *_), (t_next, *_) in zip(steps, steps[1:]):
+            assert h < t_end - t
+            assert t_next == t + h
+        t, h = steps[-1][:2]
+        assert h == t_end - t
 
     def test_drift_message_is_unchanged(self):
         # the limit is set once per run, and _check_drift still words the
@@ -899,7 +959,7 @@ class TestStepper:
         g = 2.0 / math.sqrt(125.0)
         model, energy, x1 = default_start(g)
         args = (model, energy, x1, 0j, 70.0, IntegratorConfig())
-        new = steps_until_failure(trajectory._steps, args)
+        new = steps_until_failure(march_steps, args)
         old = steps_until_failure(while_loop_steps, args)
         assert new == old
         assert new[1].startswith("|H - E| reached")
@@ -1776,3 +1836,24 @@ class TestReversibility:
 
     def test_zero_duration_is_exact(self):
         assert reversibility_error(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, 0.0) == 0.0
+
+    # the round trip's value to the bit: the harmonic and real cubic cases
+    # above and the trajectory_export benchmark's four couplings from x1
+    @pytest.mark.parametrize("case, error", [
+        ("harmonic", 1.8976487048405488e-13),
+        ("real", 4.696354416466875e-12),
+        (0.1425, 2.0737127764532182e-11),
+        (0.1429, 2.3642074183202702e-11),
+        (0.1433, 2.2257897704072052e-11),
+        (0.1437, 2.7855540954651273e-11),
+    ])
+    def test_round_trip_values_are_pinned(self, case, error):
+        if case == "harmonic":
+            args = (HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, 2.0 * math.pi)
+        elif case == "real":
+            model = CubicModel(0.1)
+            args = (model, 0.3 + 0j, turning_points(model, 0.3 + 0j).x1, 0j, 50.0)
+        else:
+            model, energy, x1 = default_start(case)
+            args = (model, energy, x1, 0j, 50.0)
+        assert reversibility_error(*args) == error
