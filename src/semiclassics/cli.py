@@ -221,10 +221,10 @@ def resolve_energy(policy, g: float) -> complex:
 
 
 def _resolve_start(args):
-    """(model, energy, x0, p0, turning points or None, manifest entries)
-    from --g/--harmonic, --energy, --x0 and --branch.  A named start is a
-    turning point with p0 = 0; the harmonic oscillator takes E = 1/2
-    unless given and starts from sqrt(2E) for either name.
+    """(model, energy, x0, p0, manifest entries) from --g/--harmonic,
+    --energy, --x0 and --branch.  A named start is a turning point with
+    p0 = 0; the harmonic oscillator takes E = 1/2 unless given and starts
+    from sqrt(2E) for either name.
     """
     branch = 1 if args.branch == "+" else -1
     harmonic = getattr(args, "harmonic", False)
@@ -234,7 +234,6 @@ def _resolve_start(args):
     else:
         model = CubicModel(args.g)
         energy = resolve_energy(args.energy, args.g)
-    tps = None
     if isinstance(args.x0, complex):
         x0, p0 = args.x0, initial_momentum(model, energy, args.x0, branch)
     elif harmonic:
@@ -244,7 +243,7 @@ def _resolve_start(args):
         x0, p0 = (tps.x1 if args.x0 == "x1" else tps.x2), 0j
     parameters = {"g": model.g, "energy": energy, "x0_policy": str(args.x0), "x0": x0,
                   "p0": p0, "branch": branch}
-    return model, energy, x0, p0, tps, parameters
+    return model, energy, x0, p0, parameters
 
 
 def _config(args) -> IntegratorConfig:
@@ -295,7 +294,6 @@ def compute_table1(g_values=TABLE1_G, cfg: IntegratorConfig | None = None):
     E = E0(g) - i/(2 tau) with E0 the second-order ground-state value,
     started from the leftmost turning point x1 with p0 = 0.
     """
-    cfg = cfg or IntegratorConfig()
     rows = []
     for g in g_values:
         model = CubicModel(g)
@@ -330,11 +328,10 @@ def _cmd_turning_points(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    model, energy, x0, p0, tps, start = _resolve_start(args)
+    model, energy, x0, p0, start = _resolve_start(args)
     cfg = _config(args)
     _emit_manifest(args, **start)
-    if tps is None:
-        tps = turning_points(model, energy)
+    tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
     rows = zip(traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
     _emit(args, ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"], rows)
@@ -345,7 +342,7 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_crossing_time(args) -> int:
-    model, energy, x0, p0, _, start = _resolve_start(args)
+    model, energy, x0, p0, start = _resolve_start(args)
     cfg = _config(args)
     _emit_manifest(args, **start)
     _emit(args, ["g", "t_c"], [(args.g, crossing_time(model, energy, x0, p0, cfg))])
@@ -393,7 +390,7 @@ def _cmd_gutzwiller_poles(args) -> int:
 
 
 def _cmd_reversibility(args) -> int:
-    model, energy, x0, p0, _, start = _resolve_start(args)
+    model, energy, x0, p0, start = _resolve_start(args)
     cfg = _config(args)
     _emit_manifest(args, **start)
     error = reversibility_error(model, energy, x0, p0, args.duration, cfg)

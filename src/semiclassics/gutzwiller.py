@@ -109,15 +109,24 @@ def _shown(value):
     return repr(value)
 
 
+def _check_float(name, form, *factors):
+    """Raise a ValueError naming ``name`` unless the product of ``factors``,
+    which a later sum forms as ``form``, is a finite float; an int factor
+    past the float range fails too, and no factor is printed."""
+    try:
+        finite = math.isfinite(math.prod(map(float, factors)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} is too large: {form} is beyond the float range")
+
+
 def _check_count(name, value):
     """Raise a ValueError naming ``name`` unless ``value`` is a nonnegative
     int that a float holds: every use converts it to one."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {_shown(value)}")
-    try:
-        float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large: {name} is beyond the float range") from None
+    _check_float(name, name, value)
 
 
 def _polyval(coeffs, z):
@@ -160,14 +169,7 @@ class OrbitModel:
                 f"focal-point count lambda must be a nonnegative integer, got {_shown(self.lam)}"
             )
         # every evaluation forms the phase lambda pi / 2 as a float
-        try:
-            finite = math.isfinite(self.lam * math.pi / 2.0)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(
-                "field 'lambda' is too large: lambda pi / 2 is beyond the float range"
-            )
+        _check_float("field 'lambda'", "lambda pi / 2", self.lam, math.pi, 0.5)
         # dS/dE = T on 10 sample energies, when both sides are present.
         if len(self.t_coeffs) >= 1 and len(self.s_coeffs) >= 2:
             ds = _polyder(self.s_coeffs)
@@ -296,8 +298,9 @@ def sinh_expansion_error(x: float, n_kept: int) -> float:
     directly in double precision bottoms out near 1e-16/sinh(x); the
     tail form stays exact down to the underflow threshold.)
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise ValueError(f"expansion requires x > 0, got {x!r}")
+    if not (isinstance(x, (int, float)) and x > 0):
+        raise ValueError(f"expansion requires x > 0, got {_shown(x)}")
+    _check_float("x", "x", x)
     _check_count("n_kept", n_kept)
     return 2.0 * math.exp(-(2.0 * n_kept + 3.0) * x) / (1.0 - math.exp(-2.0 * x))
 
@@ -354,10 +357,15 @@ def find_pole(
         After 50 iterations without convergence.
     DegenerateAction
         If |S'(E)| < 1e-12 at an iterate.
+    ValueError
+        Before the first iteration, if 2 pi s hbar or hbar (k + 1/2) is
+        beyond the float range.
     """
+    kk = idx.k + 0.5
+    _check_float("s", "2 pi s hbar", 2.0, idx.s, math.pi, ctx.hbar)
+    _check_float("k", "hbar (k + 1/2)", ctx.hbar, kk)
     sp = _polyder(orbit.s_coeffs)
     wp = _polyder(orbit.w_coeffs)
-    kk = idx.k + 0.5
     E = complex(guess) if guess is not None else _default_guess(ctx, orbit, idx)
     step = 0.0
     for _ in range(_MAX_NEWTON):

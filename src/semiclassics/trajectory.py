@@ -112,8 +112,9 @@ DRIFT_FAILURE_LIMIT = 1e-6
 _SHELL_TOL = 1e-10
 
 # Most samples one trajectory may hold: 16 MB per complex column.  The
-# longest crossing horizon, t ~ 1.5e4 at the default interval 0.05, needs
-# 3e5.
+# default sampled horizon, SAMPLED_T_MAX = 100 at the default interval
+# 0.05, needs 2,001; the cap on any horizon, IntegratorConfig.t_max = 2e5,
+# fits at intervals above 0.2.
 MAX_SAMPLES = 10**6
 
 # Horizon of a sampled trajectory when none is given, for ``integrate``
@@ -709,8 +710,6 @@ def reversibility_error(
     if t_total > cfg.t_max:
         raise ValueError(f"t_total = {t_total:g} exceeds the horizon; the limit is "
                          f"t_max = {cfg.t_max:g}")
-    if t_total == 0.0:
-        return 0.0
 
     march = _stepper(model, E, cfg)
     x, p = x0, p0

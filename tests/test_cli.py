@@ -4,7 +4,6 @@ import json
 import math
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -243,8 +242,7 @@ class TestTrajectory:
 
     def test_golden_csv(self, capsys, tmp_path):
         # every sample is evaluated on a step polynomial from the end state
-        # of the step before: byte for byte against tests/data/trajectory.csv;
-        # a CI step checks the console script the same way
+        # of the step before: byte for byte against tests/data/trajectory.csv
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(capsys, *self.GOLDEN_ARGS, "--out", str(out_path))
         assert code == 0
@@ -456,8 +454,7 @@ class TestGutzwiller:
 
     def test_response_scan_golden_csv(self, capsys):
         # g(E) of both demo orbits at E = 0.30, 0.40, ..., 2.70 and 1 - 0.05i,
-        # byte for byte, against tests/data/response_scan.csv; a CI step
-        # rebuilds the same rows with the console script
+        # byte for byte, against tests/data/response_scan.csv
         lines = ["orbit,re_e,im_e,re_g,im_g"]
         for name in ("linear_orbit", "quadratic_orbit"):
             orbit = str(DEMOS / "orbits" / f"{name}.json")
@@ -472,7 +469,7 @@ class TestGutzwiller:
             DATA / "response_scan.csv").read_bytes()
 
     def test_golden_files_without_numpy(self, capsys):
-        # the CI's byte checks with numpy blocked, in one subprocess: the
+        # the golden byte checks with numpy blocked, in one subprocess: the
         # default table1, the 22-coupling grid at --t-max 1e30 and the 52
         # response-scan rows against their golden files; this process's
         # grid output is held against its golden file too
@@ -849,19 +846,3 @@ def test_json_rows_are_the_csv_rows(capsys, tmp_path, monkeypatch, argv):
             else:
                 assert float(cell) == value
 
-
-def test_workflow_golden_steps_match_the_tests():
-    # the CI workflow rebuilds the golden files with the console script;
-    # its inputs, read from the YAML as plain text, must be the tier-1
-    # tests' own
-    workflow = (pathlib.Path(__file__).parent.parent / ".github" / "workflows"
-                / "tests.yml").read_text(encoding="utf-8")
-    named = set(re.findall(r"tests/data/([\w.-]+\.csv)", workflow))
-    assert named == {"table1.csv", "table1_grid.csv", "trajectory.csv", "response_scan.csv"}
-    assert all((DATA / name).is_file() for name in named)
-    (grid,) = re.findall(r'grid="([^"]*)"', workflow)
-    assert grid.split() == TestGutzwiller.WIDE_GRID
-    (energies,) = re.findall(r"for e in ([^;]*);", workflow)
-    assert [tuple(e.split(",")) for e in energies.split()] == TestGutzwiller.SCAN_ENERGIES
-    (args,) = re.findall(r"semiclassics (trajectory .*?) --out", workflow)
-    assert args.split() == TestTrajectory.GOLDEN_ARGS

@@ -547,7 +547,8 @@ class TestPoleResidual:
 # Integers past the float range: each is refused at validation by a
 # ValueError naming its field, not by an OverflowError in a later sum, and
 # the message does not print the integer (repr refuses one of more than
-# 4,300 digits)
+# 4,300 digits); find_pole refuses an index whose pole condition overflows
+# before its first iteration
 @pytest.mark.parametrize("build, message", [
     (lambda: PoleIndex(10**400, 0), "k is too large: k is beyond the float range"),
     (lambda: PoleIndex(0, 10**400), "s is too large: s is beyond the float range"),
@@ -563,7 +564,13 @@ class TestPoleResidual:
                         lam=-10**5000),
      "focal-point count lambda must be a nonnegative integer, got an integer beyond the "
      "float range"),
-], ids=["k", "s", "n_kept", "negative k", "negative s", "negative n_kept", "negative lambda"])
+    (lambda: sinh_expansion_error(10**400, 0), "x is too large: x is beyond the float range"),
+    (lambda: find_pole(CTX, LINEAR, PoleIndex(0, 10**308)),
+     "s is too large: 2 pi s hbar is beyond the float range"),
+    (lambda: find_pole(SemiclassicalContext(hbar=10.0), LINEAR, PoleIndex(10**308, 0)),
+     "k is too large: hbar (k + 1/2) is beyond the float range"),
+], ids=["k", "s", "n_kept", "negative k", "negative s", "negative n_kept", "negative lambda",
+        "x", "pole condition s", "pole condition k"])
 def test_integers_past_the_float_range_rejected(build, message):
     with pytest.raises(ValueError) as info:
         build()

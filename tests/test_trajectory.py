@@ -1619,7 +1619,7 @@ class TestLatticeReduction:
                 assert abs(value - walked) <= 1e-11 * abs(walked)
 
 
-class TestLatticeCache:
+class TestClosedFormConstants:
     """``cubic._orbit`` reduces its lattice and forms the constant terms
     once, and every evaluation must give the bits of
     ``uncached_orbit_at``."""
@@ -1655,7 +1655,7 @@ class TestLatticeCache:
                 assert new == old
                 assert repr(new) == repr(old)
 
-    def test_zero_signs_are_part_of_the_key(self):
+    def test_either_sign_of_the_zero_parts(self):
         # a real period and an imaginary T' given with either sign of
         # their zero parts: each variant's closed form matches the
         # uncached sum
