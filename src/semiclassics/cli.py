@@ -221,10 +221,11 @@ def resolve_energy(policy, g: float) -> complex:
 
 
 def _resolve_start(args):
-    """(model, energy, x0, p0, manifest entries) from --g/--harmonic,
-    --energy, --x0 and --branch.  A named start is a turning point with
-    p0 = 0; the harmonic oscillator takes E = 1/2 unless given and starts
-    from sqrt(2E) for either name.
+    """(model, energy, x0, p0, IntegratorConfig) from --g/--harmonic,
+    --energy, --x0, --branch and the integration flags, after writing the
+    run manifest with the resolved start.  A named start is a turning
+    point with p0 = 0; the harmonic oscillator takes E = 1/2 unless given
+    and starts from sqrt(2E) for either name.
     """
     branch = 1 if args.branch == "+" else -1
     harmonic = getattr(args, "harmonic", False)
@@ -239,11 +240,11 @@ def _resolve_start(args):
     elif harmonic:
         x0, p0 = cmath.sqrt(2.0 * energy), 0j
     else:
-        tps = turning_points(model, energy)
-        x0, p0 = (tps.x1 if args.x0 == "x1" else tps.x2), 0j
-    parameters = {"g": model.g, "energy": energy, "x0_policy": str(args.x0), "x0": x0,
-                  "p0": p0, "branch": branch}
-    return model, energy, x0, p0, parameters
+        x0, p0 = getattr(turning_points(model, energy), args.x0), 0j
+    cfg = _config(args)
+    _emit_manifest(args, g=model.g, energy=energy, x0_policy=str(args.x0), x0=x0, p0=p0,
+                   branch=branch)
+    return model, energy, x0, p0, cfg
 
 
 def _config(args) -> IntegratorConfig:
@@ -328,9 +329,7 @@ def _cmd_turning_points(args) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    model, energy, x0, p0, start = _resolve_start(args)
-    cfg = _config(args)
-    _emit_manifest(args, **start)
+    model, energy, x0, p0, cfg = _resolve_start(args)
     tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
     rows = zip(traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
@@ -342,9 +341,7 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_crossing_time(args) -> int:
-    model, energy, x0, p0, start = _resolve_start(args)
-    cfg = _config(args)
-    _emit_manifest(args, **start)
+    model, energy, x0, p0, cfg = _resolve_start(args)
     _emit(args, ["g", "t_c"], [(args.g, crossing_time(model, energy, x0, p0, cfg))])
     return 0
 
@@ -390,9 +387,7 @@ def _cmd_gutzwiller_poles(args) -> int:
 
 
 def _cmd_reversibility(args) -> int:
-    model, energy, x0, p0, start = _resolve_start(args)
-    cfg = _config(args)
-    _emit_manifest(args, **start)
+    model, energy, x0, p0, cfg = _resolve_start(args)
     error = reversibility_error(model, energy, x0, p0, args.duration, cfg)
     headers = ["duration", "retrace_error", "rel_tol", "abs_tol"]
     _emit(args, headers, [(args.duration, error, cfg.rel_tol, cfg.abs_tol)])
@@ -531,7 +526,3 @@ def main(argv=None) -> int:
     except (SemiclassicsError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

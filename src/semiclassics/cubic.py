@@ -420,11 +420,11 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     is counted.  For the start at rest at x1 the pole is T'/2 and the
     count is about (|Im T'|/2) / |Im T|.
 
-    The prediction needs more than one row.  The line of poles at that
-    level is modelled alone: near it x = 2 c**2 (csc**2(c w) - 1/3) / g +
-    1/(6 g) with c = pi/|T| and w the time from a pole P on it, and along
-    a line at scaled distance y from it the largest Re csc**2 is
-    coth**2(2 y) / 2, at sin**2(c u) = sinh**2 y (cosh 2y + 2) / cosh 2y.
+    The line of poles at that level is modelled alone: near it
+    x = 2 c**2 (csc**2(c w) - 1/3) / g + 1/(6 g) with c = pi/|T| and w
+    the time from a pole P on it, and along a line at scaled distance y
+    from it the largest Re csc**2 is coth**2(2 y) / 2, at
+    sin**2(c u) = sinh**2 y (cosh 2y + 2) / cosh 2y.
     So Re x first reaches the target at y* = artanh(1 / sqrt(2 R)) / 2
     with R = 1/3 + g (target - 1/(6 g)) / (2 c**2), left of P by u*.  From
     there Newton's method on (Re p, Re x - target) = 0 in (Re z, Im z),
@@ -440,8 +440,6 @@ def _row_bracket(model: CubicModel, periods: tuple[complex, complex], t0: comple
     b = _lattice_b(periods, t0)
     level = (b / delta) % (1.0 / abs(delta))
     rows = max(1, math.ceil(level))
-    if rows == 1:
-        return rows, None
     g = model.g
     try:
         pole = t0 + round(level * delta - b) * T_prime

@@ -38,6 +38,8 @@ analytic polynomial derivatives.
 import cmath
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,11 +104,12 @@ class PoleIndex:
 
 
 def _shown(value):
-    """repr(value), except for an int past the float range, which repr may
-    refuse to print (past 4,300 digits by default)."""
-    if isinstance(value, int) and value.bit_length() > 1024:
+    """repr(value), except for an int of more than 20 digits: named past
+    the float range, where repr may refuse to print it (past 4,300 digits
+    by default), and shown to 4 digits within it."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
         return "an integer beyond the float range"
-    return repr(value)
+    return f"{value:.3e}" if isinstance(value, int) and abs(value) >= 10**20 else repr(value)
 
 
 def _check_float(name, form, *factors):
@@ -129,6 +132,17 @@ def _check_count(name, value):
     _check_float(name, name, value)
 
 
+def _coefficient(field, value):
+    """float(value) for a real number that is not a bool, or a ValueError
+    naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must hold real numbers, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} holds a number beyond the float range") from None
+
+
 def _polyval(coeffs, z):
     """Horner evaluation with ascending coefficients; empty means 0."""
     acc = 0j
@@ -146,8 +160,9 @@ class OrbitModel:
     """Polynomial data of one unstable periodic orbit.
 
     ``s_coeffs``, ``w_coeffs`` and ``t_coeffs`` are ascending-power
-    coefficients of S(E), w(E) and T(E); ``lam`` is the number of focal
-    points per period.  When both S and T carry actual E-dependence the
+    coefficients of S(E), w(E) and T(E), each a real number other than a
+    bool, stored as a finite float; ``lam`` is the number of focal points
+    per period.  When both S and T carry actual E-dependence the
     classical identity dS/dE = T(E) is checked on a sample grid at
     construction.
     """
@@ -160,7 +175,7 @@ class OrbitModel:
 
     def __post_init__(self):
         for field in ("s_coeffs", "w_coeffs", "t_coeffs"):
-            coeffs = tuple(float(c) for c in getattr(self, field))
+            coeffs = tuple(_coefficient(field, c) for c in getattr(self, field))
             if any(not math.isfinite(c) for c in coeffs):
                 raise ValueError(f"{field} must be finite, got {coeffs!r}")
             object.__setattr__(self, field, coeffs)
@@ -379,7 +394,7 @@ def find_pole(
         E -= delta
         step = abs(delta)
     raise NewtonDiverged(
-        f"pole search for (k={idx.k}, s={idx.s}) did not converge in "
+        f"pole search for (k={_shown(idx.k)}, s={_shown(idx.s)}) did not converge in "
         f"{_MAX_NEWTON} iterations"
     )
 

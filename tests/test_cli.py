@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -21,7 +22,8 @@ from semiclassics import (
     wkb_lifetime,
 )
 from semiclassics import cubic
-from semiclassics.cli import MAX_POLES, _build_parser, _cell, _config, _render, main
+from semiclassics.cli import (MAX_POLES, _build_parser, _cell, _config, _json_default,
+                              _render, main)
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -774,6 +776,25 @@ def test_manifest_keys(capsys, tmp_path, monkeypatch, argv, parameters):
     manifest = json.loads(err.split("\n")[0])
     assert set(manifest) == {"command", "parameters", "timestamp", "version"}
     assert set(manifest["parameters"]) == parameters
+
+
+def test_manifest_json_hook_writes_complex_values_only():
+    # the json.dumps(default=...) contract: a value the hook cannot write
+    # raises TypeError, which json.dumps passes on
+    assert json.dumps({"x0": 1 - 2j}, default=_json_default) == '{"x0": {"re": 1.0, "im": -2.0}}'
+    with pytest.raises(TypeError, match=r"not JSON serializable: \{1\}"):
+        json.dumps({"x0": {1}}, default=_json_default)
+
+
+def test_python_dash_m_runs_main(capsys, monkeypatch):
+    # `python -m semiclassics`, the README's entry point, exits with main's
+    # code after main's output
+    argv = ["tau", "--g", "0.17888", "--format", "csv"]
+    monkeypatch.setattr(sys, "argv", ["semiclassics", *argv])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("semiclassics", run_name="__main__")
+    out = capsys.readouterr().out
+    assert (info.value.code, out) == (0, run(capsys, *argv)[1])
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,29 @@ class TestOrbitModelValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             OrbitModel(name="bad", lam=0, **coeffs)
 
+    # the checks orbit_from_dict makes on an orbit file, made by the model
+    # itself: a coefficient is a real number other than a bool, within the
+    # float range, and a refusal names the field without the huge integer
+    @pytest.mark.parametrize("field", ["s_coeffs", "w_coeffs", "t_coeffs"])
+    @pytest.mark.parametrize("bad, message", [
+        ("1.5", "must hold real numbers, got '1.5'"),
+        (True, "must hold real numbers, got True"),
+        (1j, "must hold real numbers, got 1j"),
+        (10**400, "holds a number beyond the float range"),
+    ], ids=["string", "bool", "complex", "10**400"])
+    def test_coefficients_that_are_not_floats_rejected(self, field, bad, message):
+        coeffs = {"s_coeffs": (3.0,), "w_coeffs": (0.5,), "t_coeffs": (1.0,)}
+        coeffs[field] = (bad, 2.0)
+        with pytest.raises(ValueError) as info:
+            OrbitModel(name="bad", lam=0, **coeffs)
+        assert str(info.value) == f"{field} {message}"
+
+    def test_integer_coefficients_become_floats(self):
+        orbit = OrbitModel(name="ints", s_coeffs=(0, 2), w_coeffs=(np.int64(1),),
+                           t_coeffs=(2,), lam=0)
+        assert (orbit.s_coeffs, orbit.w_coeffs, orbit.t_coeffs) == ((0.0, 2.0), (1.0,), (2.0,))
+        assert all(type(c) is float for c in orbit.s_coeffs + orbit.w_coeffs + orbit.t_coeffs)
+
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
 def test_nonpositive_hbar_rejected(hbar):
@@ -643,10 +666,17 @@ class TestFindPole:
         assert abs((e10 - e00).real) <= 1e-12
 
     def test_newton_budget_exhausted(self, monkeypatch):
-        # the quadratic orbit's default guess needs more than one step
+        # The quadratic orbit's default guess needs more than one step, and
+        # so do the huge indices, whose |E| ~ 1e300 or more the absolute
+        # residual bound 1e-12 cannot resolve; the message shows an index
+        # of more than 20 digits to 4 digits.
         monkeypatch.setattr(gutzwiller, "_MAX_NEWTON", 1)
-        with pytest.raises(NewtonDiverged, match=r"\(k=0, s=0\) did not converge in 1 iterations"):
-            find_pole(CTX, QUADRATIC, PoleIndex(0, 0))
+        for orbit, idx, shown in [(QUADRATIC, PoleIndex(0, 0), "k=0, s=0"),
+                                  (LINEAR, PoleIndex(10**307, 0), "k=1.000e+307, s=0"),
+                                  (QUADRATIC, PoleIndex(0, 10**300), "k=0, s=1.000e+300")]:
+            with pytest.raises(NewtonDiverged) as info:
+                find_pole(CTX, orbit, idx)
+            assert str(info.value) == f"pole search for ({shown}) did not converge in 1 iterations"
 
     def test_degenerate_action(self):
         orbit = OrbitModel(name="flat", s_coeffs=(1.0, 1e-13), w_coeffs=(0.5,),

@@ -1021,18 +1021,33 @@ class TestCrossingTime:
     def test_memory_is_flat_in_the_horizon(self):
         # The stepper holds only the current state: ten times the horizon
         # may not raise the peak traced allocation by more than a few kB.
+        # The table1 start at g = 0.14311 marches rows at both horizons: it
+        # misses within t_max = 300 and crosses within 3000.  One run comes
+        # before any is measured, so that the short run's peak does not hold
+        # the one-time compile of the Taylor step.
+        g = 0.14311
+        state = corrected_quasi_bound_energy(g)
+        crossing_model = CubicModel(g)
+        start = turning_points(crossing_model, state.energy).x1
         model = CubicModel(0.1)
         x1 = turning_points(model, 0.3 + 0j).x1
+        crossings = {}
 
-        def no_crossing(t_max):
-            with pytest.raises(NoCrossing):
-                crossing_time(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=t_max))
+        def crossing(t_max):
+            cfg = IntegratorConfig(t_max=t_max)
+            try:
+                crossings[t_max] = crossing_time(crossing_model, state.energy, start, 0j, cfg)
+            except NoCrossing as exc:
+                crossings[t_max] = str(exc)
 
         def round_trip(duration):
             reversibility_error(model, 0.3 + 0j, x1, 0j, duration)
 
-        for run, short, long in ((no_crossing, 300.0, 3000.0), (round_trip, 150.0, 1500.0)):
+        crossing(300.0)
+        for run, short, long in ((crossing, 300.0, 3000.0), (round_trip, 50.0, 500.0)):
             assert peak_traced_bytes(run, long) <= peak_traced_bytes(run, short) + 16 * 1024
+        assert crossings[300.0].endswith("within t_max = 300")
+        assert crossings[3000.0] == pytest.approx(1386.5660981656326, rel=1e-9)
 
     def test_converged_under_tolerance_refinement(self):
         g = 0.17888
