@@ -24,7 +24,6 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from importlib import resources
-from itertools import chain, islice, repeat
 
 from . import __version__
 from .cubic import (
@@ -67,10 +66,10 @@ MAX_POLES = 10**5
 
 ROOT_HEADERS = ["root", "re", "im"]
 
-# CSV rows formatted per call: one '%' on 64 copies of the row template.
-# Formatting a trajectory's 6-column rows this way peaks under 50 kB of
-# Python objects (tracemalloc), so the rows stream through without a
-# whole-column copy.
+# Rows of float columns formatted per call: one '%' on 64 copies of the
+# row template, its cells taken from a 64-row slice of each column.  A
+# trajectory's 6 columns thus peak under 40 kB of Python objects
+# (tracemalloc) whatever the horizon: no whole-column copy.
 _CSV_BLOCK = 64
 
 
@@ -110,28 +109,29 @@ def _cell(value, digits: int, missing: str) -> str:
     return f"{value:.{digits}g}"
 
 
-def _render(fmt: str, headers, rows):
+def _render(fmt: str, headers, rows=(), columns=()):
     """Yield the text of rows (tuples) of plain values in chunks of whole
     lines: CSV with 17 significant digits, taking the rows as they come,
-    or a right-aligned table with 6.  A CSV chunk holds up to 64 rows of
-    floats, or one line of a block that holds any other row.  A missing
-    value (None) is an empty CSV cell and ``none`` in a table.
+    or a right-aligned table with 6.  A missing value (None) is an empty
+    CSV cell and ``none`` in a table.  A CSV chunk is one row.
+
+    ``columns``, for CSV in place of ``rows``, holds float64 arrays of
+    equal length, one per header; a chunk is then up to 64 of its rows.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
-        # _CSV_BLOCK rows of floats (numpy float64 included) in one
-        # formatting call; '%.17g' % v and f"{v:.17g}" are the same
-        # conversion, so a block is the text of its rows one by one
-        width = len(headers)
-        floats = ",".join(["%.17g"] * width) + "\n"
-        rows = iter(rows)
-        while block := list(islice(rows, _CSV_BLOCK)):
-            cells = tuple(chain.from_iterable(block))
-            if set(map(len, block)) == {width} and all(map(isinstance, cells, repeat(float))):
-                yield floats * len(block) % cells
-            else:
-                for row in block:
-                    yield ",".join(_cell(v, 17, "") for v in row) + "\n"
+        for row in rows:
+            yield ",".join(_cell(v, 17, "") for v in row) + "\n"
+        if columns:
+            import numpy as np  # only a command with sample arrays gets here
+
+            # the dtype makes every cell a float, and '%.17g' % v is the
+            # conversion of _cell: one '%' per block, on its cells as
+            # Python floats in row order
+            floats = ",".join(["%.17g"] * len(columns)) + "\n"
+            for lo in range(0, len(columns[0]), _CSV_BLOCK):
+                block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns])
+                yield floats * len(block) % tuple(block.ravel().tolist())
         return
     cells = [[_cell(v, 6, "none") for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(headers, *cells)]
@@ -139,16 +139,17 @@ def _render(fmt: str, headers, rows):
         yield "  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n"
 
 
-def _emit(args, headers, rows) -> None:
+def _emit(args, headers, rows=(), columns=()) -> None:
     """Write rows to --out or stdout as a table, CSV, or JSON:
     {"command", "rows"} with one object per row keyed by the headers.  A
-    subcommand without --format (trajectory) writes CSV."""
+    subcommand without --format (trajectory) writes CSV, the only format
+    that takes ``columns`` (see _render)."""
     fmt = getattr(args, "format", "csv")
     if fmt == "json":
         payload = {"command": _command(args), "rows": [dict(zip(headers, r)) for r in rows]}
         lines = [json.dumps(payload) + "\n"]
     else:
-        lines = _render(fmt, headers, rows)
+        lines = _render(fmt, headers, rows, columns)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
@@ -332,8 +333,8 @@ def _cmd_trajectory(args) -> int:
     model, energy, x0, p0, cfg = _resolve_start(args)
     tps = turning_points(model, energy)
     traj = integrate(model, energy, x0, p0, cfg)
-    rows = zip(traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
-    _emit(args, ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"], rows)
+    columns = (traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag, traj.energy_drift)
+    _emit(args, ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"], columns=columns)
     sys.stdout.writelines(_render("table", ROOT_HEADERS, _root_rows(tps)))
     print(f"wrote {len(traj)} samples to {args.out} "
           f"(max energy drift {traj.max_energy_drift:.3e})")

@@ -70,6 +70,9 @@ _TERM_CUTOFF = 1e-16
 _CUTOFF_LOG = -math.log(_TERM_CUTOFF)
 _MAX_TERMS = 10 ** 4
 _RESIDUAL_TOL = 1e-12
+# ulps of the residual's term sum (_residual_scale) a converged residual
+# may hold: more than _RESIDUAL_TOL only from a sum of 2048 on
+_RESIDUAL_ULPS = 4
 _STEP_TOL = 1e-13
 _MAX_NEWTON = 50
 # exp() overflows past ~709; beyond this z_k/(1 - z_k) is -1 to 1e-300.
@@ -338,6 +341,16 @@ def pole_residual(
     return S - rhs
 
 
+def _residual_scale(ctx, orbit, E, idx):
+    """The sum of the magnitudes of the terms ``pole_residual`` adds up
+    at E, each power of E and each side included: S(E) and the
+    right-hand side round to a few ulps of it, however much they cancel."""
+    a = abs(E)
+    s = _polyval(tuple(map(abs, orbit.s_coeffs)), a).real
+    w = _polyval(tuple(map(abs, orbit.w_coeffs)), a).real
+    return s + ctx.hbar * ((idx.k + 0.5) * w + orbit.lam * math.pi / 2.0 + 2.0 * idx.s * math.pi)
+
+
 def _default_guess(ctx, orbit, idx):
     # Invert the degree-1 truncation of S and w.
     s0 = orbit.s_coeffs[0] if len(orbit.s_coeffs) > 0 else 0.0
@@ -363,8 +376,11 @@ def find_pole(
 
     The derivative S'(E) + i hbar w'(E) (k + 1/2) is evaluated from the
     polynomial coefficients exactly.  The default starting point solves
-    the linearized (degree-1) pole condition.  Convergence requires
-    |residual| <= 1e-12 and a final step below 1e-13 * max(1, |E|).
+    the linearized (degree-1) pole condition.  Convergence requires a
+    final step below 1e-13 * max(1, |E|) and |residual| <= 1e-12, or,
+    where S(E) and the right-hand side round coarser than that,
+    |residual| within 4 ulps of the sum of the magnitudes of the terms
+    they add up (a sum of 2048 or more: large |E|, k or s).
 
     Raises
     ------
@@ -385,7 +401,10 @@ def find_pole(
     step = 0.0
     for _ in range(_MAX_NEWTON):
         residual = pole_residual(ctx, orbit, E, idx)
-        if abs(residual) <= _RESIDUAL_TOL and step <= _STEP_TOL * max(1.0, abs(E)):
+        size = abs(residual)
+        if step <= _STEP_TOL * max(1.0, abs(E)) and (
+                size <= _RESIDUAL_TOL
+                or size <= _RESIDUAL_ULPS * math.ulp(_residual_scale(ctx, orbit, E, idx))):
             return E
         ds = _polyval(sp, E)
         if abs(ds) < 1e-12:

@@ -466,13 +466,16 @@ def _horner(block, times):
     xs) for each step, in order, holding the next ``count`` samples.
 
     ``_at`` runs on the rows of all samples' coefficients at once, so
-    each sample is bit-identical to ``_at(xs, time - t)``.
+    each sample is bit-identical to ``_at(xs, time - t)``.  tau is made
+    complex once: each product with a complex row would cast it again,
+    to the same tau + 0j.
     """
     import numpy as np
 
     starts, counts, coefs = zip(*block)
     owner = np.repeat(np.arange(len(block)), counts)
-    return _at(np.array(coefs).T[:, owner], times - np.array(starts)[owner])
+    tau = (times - np.array(starts)[owner]).astype(complex)
+    return _at(np.array(coefs, dtype=complex).T[:, owner], tau)
 
 
 def _dense_output(steps, times, x, p):

@@ -7,6 +7,7 @@ import pathlib
 import runpy
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def read_csv(text):
 
 
 class TestRender:
-    # all-float rows (one template per row) and mixed rows (cell by cell)
+    # rows of plain values, floats or not, go cell by cell
     HEADERS = ["a", "b", "c", "d", "e", "f"]
     ROWS = [
         (math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-1 / 3)),
@@ -83,8 +84,8 @@ class TestRender:
 
 
 class TestRenderBlocks:
-    # all-float rows are formatted 64 at a time; the joined text must be
-    # the per-row text of every row, whatever the block boundaries
+    # float columns are formatted 64 rows at a time; the joined text must
+    # be the per-row text of every row, whatever the block boundaries
     HEADERS = ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"]
     SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1 / 3, 1e300]
 
@@ -103,6 +104,26 @@ class TestRenderBlocks:
         rows = self.rows(count)
         text = "".join(_render("csv", self.HEADERS, iter(rows)))
         assert text == self.per_row(rows)
+        assert text.count("\n") == count + 1
+        if count:
+            first = "-0,nan,inf,-inf,4.9406564584124654e-324,0.10000000000000001"
+            assert text.split("\n")[1] == first
+
+    def columns(self, count):
+        # float64 columns as integrate returns them: two plain arrays and
+        # the strided .real and .imag views of two complex ones
+        cells = np.resize(np.array(self.SPECIAL), (count, 6)).T
+        x, p = np.empty((2, count), dtype=complex)
+        x.real, x.imag, p.real, p.imag = cells[1:5]
+        return (cells[0], x.real, x.imag, p.real, p.imag, cells[5])
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    def test_float_columns(self, count):
+        columns = self.columns(count)
+        assert [c.dtype for c in columns] == [np.float64] * 6
+        assert count < 2 or not columns[1].flags.contiguous
+        text = "".join(_render("csv", self.HEADERS, columns=columns))
+        assert text == self.per_row(zip(*columns))
         assert text.count("\n") == count + 1
         if count:
             first = "-0,nan,inf,-inf,4.9406564584124654e-324,0.10000000000000001"
@@ -291,6 +312,27 @@ class TestTrajectory:
         assert code == 2
         assert "--out" in err
 
+    def test_csv_memory_is_flat_in_the_horizon(self, tmp_path):
+        # Beyond the trajectory's arrays the command holds one block of
+        # samples and one of CSV rows, never a whole column as Python
+        # objects: ten times the horizon may not raise the rest of the peak.
+        out_path = tmp_path / "traj.csv"
+        argv = ["trajectory", "--g", "0.1", "--energy", "re=0.3,im=0", "--out", str(out_path)]
+
+        def extra(t_max):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--t-max", str(t_max)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            samples = out_path.read_text(encoding="utf-8").count("\n") - 1
+            return peak - samples * (8 + 16 + 16 + 8)  # t, x, p, energy_drift
+
+        extra(1)  # the parser and the lazy imports are built once
+        assert extra(600) <= extra(60) + 16 * 1024
+
     def test_bound_run_stays_left_of_x3(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
         code, _, _ = run(
@@ -447,6 +489,18 @@ class TestGutzwiller:
                 expected, abs=1e-12
             )
             assert float(row[4]) <= 1e-12
+
+    def test_poles_of_a_demo_orbit_up_to_k_13500(self, capsys):
+        # the whole rectangle converges, where |S(E)| and k |w(E)| round
+        # past 1e-12 too
+        code, out, err = run(
+            capsys, "gutzwiller", "poles", "--orbit", str(DEMOS / "orbits" / "quadratic_orbit.json"),
+            "--k-max", "13500", "--s-max", "0", "--format", "csv",
+        )
+        assert code == 0
+        assert "failed" not in err
+        _, rows = read_csv(out)
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(k, 0) for k in range(13501)]
 
     # the energies of tests/data/response_scan.csv
     SCAN_ENERGIES = [(f"{x / 100:.2f}", "0") for x in range(30, 271, 10)] + [("1.00", "-0.05")]

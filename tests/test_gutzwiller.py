@@ -667,16 +667,50 @@ class TestFindPole:
 
     def test_newton_budget_exhausted(self, monkeypatch):
         # The quadratic orbit's default guess needs more than one step, and
-        # so do the huge indices, whose |E| ~ 1e300 or more the absolute
-        # residual bound 1e-12 cannot resolve; the message shows an index
-        # of more than 20 digits to 4 digits.
+        # so do huge indices from a guess far off their poles; the message
+        # shows an index of more than 20 digits to 4 digits.
         monkeypatch.setattr(gutzwiller, "_MAX_NEWTON", 1)
-        for orbit, idx, shown in [(QUADRATIC, PoleIndex(0, 0), "k=0, s=0"),
-                                  (LINEAR, PoleIndex(10**307, 0), "k=1.000e+307, s=0"),
-                                  (QUADRATIC, PoleIndex(0, 10**300), "k=0, s=1.000e+300")]:
+        for orbit, idx, guess, shown in [
+            (QUADRATIC, PoleIndex(0, 0), None, "k=0, s=0"),
+            (LINEAR, PoleIndex(10**307, 0), 0j, "k=1.000e+307, s=0"),
+            (QUADRATIC, PoleIndex(0, 10**300), 0j, "k=0, s=1.000e+300"),
+        ]:
             with pytest.raises(NewtonDiverged) as info:
-                find_pole(CTX, orbit, idx)
+                find_pole(CTX, orbit, idx, guess)
             assert str(info.value) == f"pole search for ({shown}) did not converge in 1 iterations"
+
+    @pytest.mark.parametrize("orbit, idx", [
+        (LINEAR, PoleIndex(25_800, 0)),
+        (LINEAR, PoleIndex(10**6, 3)),
+        (LINEAR, PoleIndex(10**307, 0)),
+        (QUADRATIC, PoleIndex(13_500, 0)),
+        (QUADRATIC, PoleIndex(10**6, 3)),
+    ])
+    def test_converges_where_the_residual_rounds_past_1e_12(self, orbit, idx):
+        # S(E) and hbar w(E) (k + 1/2) round to more than 1e-12 here, so no
+        # iterate's residual is within 1e-12 of 0: the bound is a few ulps
+        # of the terms the residual sums (the quadratic orbit's S and w
+        # cancel to |S| ~ 64 and |w| ~ 0.007 at k = 13,500)
+        pole = find_pole(CTX, orbit, idx)
+        scale = gutzwiller._residual_scale(CTX, orbit, pole, idx)
+        assert scale > 2048
+        assert 1e-12 < 4 * math.ulp(scale)
+        assert abs(pole_residual(CTX, orbit, pole, idx)) <= 4 * math.ulp(scale)
+        if orbit is LINEAR:
+            expected = closed_form_pole(idx.k, idx.s)
+            assert abs(pole - expected) <= 4 * math.ulp(abs(expected))
+
+    def test_residual_bound_is_1e_12_below_a_term_sum_of_2048(self):
+        # no pole of the default (k, s) rectangle, the golden files or the
+        # lattices above moves: there the bound is the absolute 1e-12
+        assert 4 * math.ulp(2047.9) < 1e-12 < 4 * math.ulp(2048.0)
+        for orbit in (LINEAR, QUADRATIC):
+            for k in range(4):
+                for s in range(4):
+                    idx = PoleIndex(k, s)
+                    pole = find_pole(CTX, orbit, idx)
+                    assert gutzwiller._residual_scale(CTX, orbit, pole, idx) < 2048
+                    assert abs(pole_residual(CTX, orbit, pole, idx)) <= 1e-12
 
     def test_degenerate_action(self):
         orbit = OrbitModel(name="flat", s_coeffs=(1.0, 1e-13), w_coeffs=(0.5,),
