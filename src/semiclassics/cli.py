@@ -66,11 +66,10 @@ MAX_POLES = 10**5
 
 ROOT_HEADERS = ["root", "re", "im"]
 
-# Rows of float columns formatted per call: one '%' on 64 copies of the
-# row template, its cells taken from a 64-row slice of each column.  A
-# trajectory's 6 columns thus peak under 40 kB of Python objects
-# (tracemalloc) whatever the horizon: no whole-column copy.
-_CSV_BLOCK = 64
+# Rows of float columns formatted per chunk by _csvfloat.csv_rows.  Its
+# work arrays are about 300 bytes a cell, so a trajectory's 6 columns
+# take about 1 MB of them whatever the horizon: no whole-column copy.
+_CSV_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +115,19 @@ def _render(fmt: str, headers, rows=(), columns=()):
     CSV cell and ``none`` in a table.  A CSV chunk is one row.
 
     ``columns``, for CSV in place of ``rows``, holds float64 arrays of
-    equal length, one per header; a chunk is then up to 64 of its rows.
+    equal length, one per header; a chunk is then up to _CSV_BLOCK of its
+    rows.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
         for row in rows:
             yield ",".join(_cell(v, 17, "") for v in row) + "\n"
         if columns:
-            import numpy as np  # only a command with sample arrays gets here
+            # only a command with sample arrays gets here; every cell is
+            # '%.17g' % v, the conversion of _cell
+            from ._csvfloat import csv_rows
 
-            # the dtype makes every cell a float, and '%.17g' % v is the
-            # conversion of _cell: one '%' per block, on its cells as
-            # Python floats in row order
-            floats = ",".join(["%.17g"] * len(columns)) + "\n"
-            for lo in range(0, len(columns[0]), _CSV_BLOCK):
-                block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in columns])
-                yield floats * len(block) % tuple(block.ravel().tolist())
+            yield from csv_rows(columns, _CSV_BLOCK)
         return
     cells = [[_cell(v, 6, "none") for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(headers, *cells)]

@@ -22,9 +22,9 @@ from semiclassics import (
     turning_points,
     wkb_lifetime,
 )
-from semiclassics import cubic
-from semiclassics.cli import (MAX_POLES, _build_parser, _cell, _config, _json_default,
-                              _render, main)
+from semiclassics import cli, cubic
+from semiclassics.cli import (_CSV_BLOCK, MAX_POLES, _build_parser, _cell, _config,
+                              _json_default, _render, main)
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -84,8 +84,9 @@ class TestRender:
 
 
 class TestRenderBlocks:
-    # float columns are formatted 64 rows at a time; the joined text must
-    # be the per-row text of every row, whatever the block boundaries
+    # float columns are formatted _CSV_BLOCK rows at a time; the joined
+    # text must be the per-row text of every row, whatever the block
+    # boundaries
     HEADERS = ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"]
     SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1, -1 / 3, 1e300]
 
@@ -117,7 +118,8 @@ class TestRenderBlocks:
         x.real, x.imag, p.real, p.imag = cells[1:5]
         return (cells[0], x.real, x.imag, p.real, p.imag, cells[5])
 
-    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("count", [0, 1, 63, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                       2 * _CSV_BLOCK + 1])
     def test_float_columns(self, count):
         columns = self.columns(count)
         assert [c.dtype for c in columns] == [np.float64] * 6
@@ -270,6 +272,42 @@ class TestTrajectory:
         code, _, _ = run(capsys, *self.GOLDEN_ARGS, "--out", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == (DATA / "trajectory.csv").read_bytes()
+
+    @staticmethod
+    def percent_writer(columns):
+        # the CSV writer before the vectorized '%.17g': one '%' of the
+        # repeated row template on each 64-row block, cells as Python floats
+        floats = ",".join(["%.17g"] * len(columns)) + "\n"
+        text = "t,re_x,im_x,re_p,im_p,energy_drift\n"
+        for lo in range(0, len(columns[0]), 64):
+            block = np.column_stack([c[lo:lo + 64] for c in columns])
+            text += floats * len(block) % tuple(block.ravel().tolist())
+        return text.encode("ascii")
+
+    @pytest.mark.parametrize("argv", [
+        GOLDEN_ARGS,
+        ["trajectory", "--g", "0.14311", "--t-max", "60"],  # 1,201 rows: 3 blocks
+        # a real orbit: whole columns of zeros
+        ["trajectory", "--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "100"],
+        ["trajectory", "--g", "0.1", "--energy", "re=0.3,im=-1e-3", "--x0", "re=-0.5,im=1e-7",
+         "--t-max", "30", "--sample-interval", "0.0123"],
+    ])
+    def test_csv_bytes_match_the_percent_writer(self, capsys, tmp_path, monkeypatch, argv):
+        trajectories = []
+
+        def integrate(*args, integrate=cli.integrate):
+            trajectories.append(integrate(*args))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        (traj,) = trajectories
+        columns = (traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag,
+                   traj.energy_drift)
+        assert len(traj) > _CSV_BLOCK or argv == self.GOLDEN_ARGS
+        assert out_path.read_bytes() == self.percent_writer(columns)
 
     def test_zero_length_run(self, capsys, tmp_path):
         out_path = tmp_path / "traj.csv"
