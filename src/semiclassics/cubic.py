@@ -65,6 +65,12 @@ _X_MAX = sys.float_info.max ** (1.0 / 3.0)
 # 1/(54 g**2) stays finite down to about 1e-155, well below.
 _G_MIN = 0.5 / _X_MAX
 
+# Largest coupling the model accepts: the barrier height 1/(54 g**2) needs
+# a finite 54 g**2, and the largest double with one lies just below
+# sqrt(float_max / 54), 1.82457e153, whose own 54 g**2 rounds past
+# float_max.
+_G_MAX = math.nextafter(math.sqrt(sys.float_info.max / 54.0), 0.0)
+
 # Roots closer than this are treated as coincident (energy at or near the
 # bottom of the well or the barrier top) rather than returned as garbage.
 _DEGENERACY_THRESHOLD = 1e-8
@@ -79,7 +85,8 @@ class CubicModel:
     """Cubic well with coupling g > 0: V(x) = x**2/2 - g*x**3.
 
     A coupling below _G_MIN (8.86e-104) is refused: its far turning point
-    cubed overflows a float.
+    cubed overflows a float.  So is one above _G_MAX (1.82e153), whose
+    barrier height 1/(54 g**2) overflows in its denominator.
     """
 
     g: float
@@ -93,6 +100,11 @@ class CubicModel:
             raise DegenerateCubic(
                 f"coupling g={self.g!r} is below {_G_MIN:.6g}, the smallest whose "
                 "turning points, near 1/(2 g), cube to a finite float"
+            )
+        if self.g > _G_MAX:
+            raise DegenerateCubic(
+                f"coupling g={self.g!r} is above {_G_MAX:.6g}, the largest whose "
+                "barrier height 1/(54 g**2) has a finite denominator"
             )
 
     def potential(self, x):
@@ -289,8 +301,8 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
         real energy is exactly 0 or the barrier top.
     ArithmeticError
         If a root misses V(x) = E by more than 1e-12 of the size
-        |E| + |x**2/2| + g |x|**3 of its terms, or the arithmetic
-        overflows (g**2 |E| near the float limit).
+        |E| + |x**2/2| + g |x|**3 of its terms, or k overflows a float
+        (8 g**2 |E| beyond float_max; the message names g and E).
     """
     g = model.g
     E = complex(energy)
@@ -310,8 +322,15 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
         centre, unit = model.barrier_position, 2.0 * g
         gn, gd = g.as_integer_ratio()
         en, ed = E.real.as_integer_ratio()
-        k = complex((216 * gn * gn * en - 4 * gd * gd * ed) / (27 * gd * gd * ed),
-                    8.0 * g * g * E.imag)
+        try:  # an int quotient beyond float_max raises; k's check names it
+            re_k = (216 * gn * gn * en - 4 * gd * gd * ed) / (27 * gd * gd * ed)
+        except OverflowError:
+            re_k = math.inf
+        k = complex(re_k, 8.0 * g * g * E.imag)
+    if not cmath.isfinite(k):
+        raise ArithmeticError(
+            f"the cubic's constant k, of size 8 g**2 |E|, overflows a float at g={g!r}, E={E!r}"
+        )
     v1 = _isolated_root(k)
     s = k / (v1 * v1)
     d = cmath.sqrt(s * s + 4.0 * k / v1)

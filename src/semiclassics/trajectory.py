@@ -23,13 +23,14 @@ local error target.  A step is one call of straight-line code compiled
 once per order, on the first step at that order (``_recurrence``): the
 coefficients, in the operation order of the plain loop over j < k - j,
 the radius estimate and the step length, and the state at the step end
-by Horner's rule, with the exponents and e**2 written in as constants.
-One march (``_stepper``) is the only loop over those calls: it adds the
-underflow and drift checks and lands the last step exactly on the end
-time, and the sampling, the round trips and the crossing search's row
-marches all walk it.  At order 15 the call is 236
-complex multiplications and additions, and a step costs 8 to 10 us
-(CPython 3.11, x86-64).
+by Horner's rule, with the exponents and e**2 written in as constants;
+the only builtin it calls is ``abs``.  One march (``_stepper``) is the
+only loop over those calls: it adds the underflow and drift checks and
+lands the last step exactly on the end time, and the sampling, the round
+trips and the crossing search's row marches all walk it.  At order 15
+the call is 234 binary operations, nearly all complex multiplications
+and additions, and a step costs 7 to 9 us (CPython 3.11.7, x86-64,
+depending on the host's load).
 
 Each step's polynomial is its own dense output: the samples of
 ``integrate`` are evaluated on it, a block of samples at a time, by one
@@ -71,9 +72,9 @@ sequences on one platform.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -243,34 +244,52 @@ def _recurrence(order):
     with the factor written as its float's repr: the operations, in the
     order of a loop over the pairs, without the loop's indexing.  The sum
     starts from 0j, which makes a -0.0 part of the first product +0.0:
-    the signs of zeros reach the samples and the CSV bytes.  The step is
-    then the time left, cut to rho/e**2 (see the module docstring), and
-    the end state is ``_at(xs, h)`` written out: the same Horner
-    operations in the same order.
+    the signs of zeros reach the samples and the CSV bytes.  At k = 0,
+    where the loop's s + s adds 0j to 0j, the line is s = 0j + x0 * x0.
+    The step is then the time left, cut to rho/e**2 (see the module
+    docstring), and the end state is ``_at(xs, h)`` written out: the same
+    Horner operations in the same order, except that its first
+    p = 0j * h + x{order} reads p = 0j + x{order}, the same value for
+    every finite h >= 0 (dropping the 0j too would turn a +0.0 part of
+    p into -0.0 on some imaginary harmonic starts).
+
+    The radius estimate makes max()'s choices with conditional
+    expressions: the state norm is |x0|, replaced by |x1| and then by
+    scale_floor where each is greater, and 1/rho is the first root term
+    unless the second is greater.  That keeps every comparison, NaN
+    included, and saves the builtin calls (at order 15 the minima of five
+    alternated runs of 9 x 20,000 steps were 7.33 us with max() and
+    7.13 us without, CPython 3.11.7, x86-64).
 
     ``bound(xs, h)`` is the whole-step bound of ``_first_reach``,
     sum_{k>=1} max(Re x_k, 0) h**k, by the same Horner operations as a
     loop from k = order down.
 
     The exponents 1/(order - 1) and 1/order and e**2 go into the source
-    as float reprs; beyond them it holds only integer indices, ``abs``
-    and ``max``.
+    as float reprs; beyond them it holds only integer indices, and its
+    namespace holds one builtin, ``abs``.
     """
     last = f"x{order}"
     lines = ["def step(x0, x1, g3, scale_floor, h):"]
     for k in range(order - 1):
         pairs = "".join(f" + x{j} * x{k - j}" for j in range((k + 1) // 2))
         middle = f" + x{k // 2} * x{k // 2}" if k % 2 == 0 else ""
-        lines += [f"    s = 0j{pairs}",
-                  f"    s = s + s{middle}",
-                  f"    x{k + 2} = (g3 * s - x{k}) * {1.0 / ((k + 1) * (k + 2))!r}"]
+        if k:
+            lines += [f"    s = 0j{pairs}", f"    s = s + s{middle}"]
+        else:  # the loop's s + s would add 0j to 0j
+            lines.append(f"    s = 0j{middle}")
+        lines.append(f"    x{k + 2} = (g3 * s - x{k}) * {1.0 / ((k + 1) * (k + 2))!r}")
     e2 = math.exp(2.0)
-    lines += ["    scale = max(abs(x0), abs(x1), scale_floor)",
-              f"    inv_rho = max((abs(x{order - 1}) / scale) ** {1.0 / (order - 1)!r}, "
-              f"(abs({last}) / scale) ** {1.0 / order!r})",
+    lines += ["    scale = abs(x0)",
+              "    r = abs(x1)",
+              "    scale = r if r > scale else scale",
+              "    scale = scale_floor if scale_floor > scale else scale",
+              f"    inv_rho = (abs(x{order - 1}) / scale) ** {1.0 / (order - 1)!r}",
+              f"    r = (abs({last}) / scale) ** {1.0 / order!r}",
+              "    inv_rho = r if r > inv_rho else inv_rho",
               f"    if {e2!r} * inv_rho * h > 1.0:",
               f"        h = 1.0 / ({e2!r} * inv_rho)",
-              f"    p = 0j * h + {last}",
+              f"    p = 0j + {last}",
               f"    x = {last} * h + x{order - 1}"]
     for k in range(order - 2, -1, -1):
         lines += ["    p = p * h + x", f"    x = x * h + x{k}"]
@@ -279,7 +298,7 @@ def _recurrence(order):
     for k in range(order, 0, -1):
         lines += [f"    r = xs[{k}].real", "    b = b * h if r <= 0.0 else (b + r) * h"]
     lines.append("    return b")
-    namespace = {"__builtins__": {"abs": abs, "max": max}}
+    namespace = {"__builtins__": {"abs": abs}}
     exec(compile("\n".join(lines), f"<Taylor step of order {order}>", "exec"), namespace)
     return namespace["step"], namespace["bound"]
 
@@ -466,16 +485,19 @@ def _horner(block, times):
     xs) for each step, in order, holding the next ``count`` samples.
 
     ``_at`` runs on the rows of all samples' coefficients at once, so
-    each sample is bit-identical to ``_at(xs, time - t)``.  tau is made
-    complex once: each product with a complex row would cast it again,
-    to the same tau + 0j.
+    each sample is bit-identical to ``_at(xs, time - t)``.  The rows come
+    from one ``np.fromiter`` over the steps' chained coefficient lists.
+    tau is made complex once: each product with a complex row would cast
+    it again, to the same tau + 0j.
     """
     import numpy as np
 
     starts, counts, coefs = zip(*block)
     owner = np.repeat(np.arange(len(block)), counts)
     tau = (times - np.array(starts)[owner]).astype(complex)
-    return _at(np.array(coefs, dtype=complex).T[:, owner], tau)
+    width = len(coefs[0])
+    table = np.fromiter(itertools.chain.from_iterable(coefs), complex, len(coefs) * width)
+    return _at(table.reshape(-1, width).T[:, owner], tau)
 
 
 def _dense_output(steps, times, x, p):
@@ -483,26 +505,35 @@ def _dense_output(steps, times, x, p):
     ``steps``: sample i lies on the first step (t, h, xs, ...) with
     times[i] - t <= h, at tau = times[i] - t.
 
-    The samples go in blocks of _BLOCK.  A block is matched to steps by
-    bisection and evaluated as soon as its last sample is matched; the
-    last step ends at t_max >= times[-1], so every block is.  The buffer
-    thus holds at most one step per sample of a block.
+    The samples go in blocks of _BLOCK.  Each step takes the block's
+    next samples by a forward scan while times[i] - t <= h, which costs
+    one comparison per sample plus one per step; a bisection per step
+    costs more here, where a step holds about eight samples (the four
+    trajectories of a seed-11 trajectory_export pass took 6.7 ms with
+    bisection and 5.6 ms with the scan, CPython 3.11.7, x86-64).  A block
+    is evaluated as soon as its last sample is matched; the last step ends
+    at t_max >= times[-1], so every block is.  The buffer thus holds at
+    most one step per sample of a block.
     """
     lo = 1
     window = times[lo:lo + _BLOCK].tolist()
+    n = len(window)
     block = []
     i = 0  # the first sample of the window not yet matched to a step
     for t, h, xs, _x, _p in steps:
-        while window:
-            j = bisect.bisect_right(window, h, i, key=t.__rsub__)
+        while n:
+            j = i
+            while j < n and window[j] - t <= h:
+                j += 1
             if j > i:
                 block.append((t, j - i, xs))
                 i = j
-            if j < len(window):
+            if j < n:
                 break
             hi = lo + j
             x[lo:hi], p[lo:hi] = _horner(block, times[lo:hi])
             lo, window, block, i = hi, times[hi:hi + _BLOCK].tolist(), [], 0
+            n = len(window)
 
 
 def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Trajectory:

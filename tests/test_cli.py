@@ -220,6 +220,16 @@ class TestTurningPoints:
         assert out == ""
         assert f"coupling g={float(g)!r} is below 8.85927e-104" in err
 
+    @pytest.mark.parametrize("g", ["1e154", "1e200", "1e308"])
+    def test_coupling_above_the_ceiling_fails_cleanly(self, capsys, g):
+        # above 1.82e153 the barrier height's 54 g**2 overflows; these once
+        # failed as a missed residual of a nan root and "Numerical result
+        # out of range"
+        code, out, err = run(capsys, "turning-points", "--energy", "0.1", "--g", g)
+        assert code == 1
+        assert out == ""
+        assert f"coupling g={float(g)!r} is above 1.82457e+153" in err
+
     def test_coupling_above_the_floor(self, capsys):
         code, out, _ = run(capsys, "turning-points", "--energy", "1", "--g", "1e-100",
                            "--format", "csv")
@@ -804,6 +814,41 @@ def test_start_beyond_the_cube_limit_is_a_failed_run(capsys, argv):
     assert code == 1
     assert out == ""
     assert "x0 (" in err and "is beyond |x| = 5.6438e+102" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table1", "--g", "1e100"],
+     ["crossing-time", "--g", "1e100"],
+     ["trajectory", "--g", "7e76", "--t-max", "1", "--out", "traj.csv"],
+     ["turning-points", "--g", "1e100", "--energy", "1e200"]],
+    ids=["table1", "crossing-time", "trajectory", "turning-points"],
+)
+def test_overflowing_cubic_constant_is_a_failed_run(capsys, tmp_path, monkeypatch, argv):
+    # k = 8 g**2 |E| beyond float_max (1.1e401 at table1's corrected energy
+    # -1.375e200 of g = 1e100); these once failed with the bare message
+    # "complex exponentiation" or an int quotient "too large for a float"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "overflows a float at g=" in err and f"g={float(argv[2])!r}, E=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table1"], ["crossing-time"], ["trajectory", "--out", "traj.csv"],
+     ["reversibility", "--duration", "1"]],
+    ids=["table1", "crossing-time", "trajectory", "reversibility"],
+)
+def test_coupling_above_the_ceiling_is_a_failed_run(capsys, tmp_path, monkeypatch, argv):
+    # these once failed with "energy must be finite" for an energy never given
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--g", "1e200")
+    assert code == 1
+    assert out == ""
+    assert "coupling g=1e+200 is above 1.82457e+153" in err
 
 
 @pytest.mark.parametrize("command", ["crossing-time", "turning-points"])

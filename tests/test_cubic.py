@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -153,6 +154,18 @@ class TestPotentialAndForce:
         for energy in (1.0, -1.0, 0.3 - 0.1j, 1e3):
             for x in turning_points(model, energy):
                 assert math.isfinite(abs(x) ** 3)
+
+    def test_coupling_ceiling(self):
+        # the largest g whose 54 g**2, the barrier height's denominator, is
+        # a finite float, stepped down to from sqrt(float_max / 54)
+        ceiling = math.sqrt(sys.float_info.max / 54.0)
+        while not math.isfinite(54.0 * ceiling**2):
+            ceiling = math.nextafter(ceiling, 0.0)
+        assert ceiling == pytest.approx(1.8246e153, rel=1e-4)
+        assert CubicModel(ceiling).barrier_height > 0.0
+        for g in (math.nextafter(ceiling, math.inf), 1e154, 1e308):
+            with pytest.raises(DegenerateCubic, match=re.escape(f"g={g!r} is above 1.82457e+153")):
+                CubicModel(g)
 
     def test_harmonic_model(self):
         h = HarmonicModel()
@@ -411,6 +424,25 @@ class TestTurningPoints:
     def test_nonfinite_energy_rejected(self):
         with pytest.raises(ValueError):
             turning_points(CubicModel(0.1), complex(float("inf"), 0.0))
+
+    @pytest.mark.parametrize(
+        "g, energy",
+        [
+            (1e100, -1.375e200 - 5.6e-101j),  # table1's corrected energy at g = 1e100
+            (7e76, -6.7375e153 + 0j),
+            (1e150, -1e10 + 0j),
+            (1e100, -1.0 + 1e300j),
+            (1e100, 1e200 + 0j),  # about the barrier top: an int quotient past float_max
+            (1e100, 1e200 - 1e200j),
+        ],
+    )
+    def test_overflowing_k_names_g_and_e(self, g, energy):
+        # k = -8 g**2 E (about the barrier top 8 g**2 E - 4/27) beyond
+        # float_max once failed as "complex exponentiation" or "integer
+        # division result too large for a float"
+        with pytest.raises(ArithmeticError, match="overflows") as info:
+            turning_points(CubicModel(g), energy)
+        assert f"g={g!r}, E={complex(energy)!r}" in str(info.value)
 
     def test_missed_residual_raises(self, monkeypatch):
         # with no tolerance at all, the rounding left in V(x) - E fails

@@ -779,11 +779,16 @@ def steps_until_failure(steps, args):
 
 
 # a complex start; a real start at a real energy, whose imaginary parts
-# are all zeros; and g3 = 0, the harmonic model: (x, p, 3 g)
+# are all zeros; g3 = 0, the harmonic model; a start whose |p| is above
+# both |x| and the floor 1e-2, so the step scale is |p|; and a harmonic
+# start on the imaginary axis with Re p = -0.0, whose end momentum at
+# order 2 has Re p = +0.0 only if its Horner sum starts from 0j: (x, p, 3 g)
 KERNEL_STARTS = {
     "complex": (1.0531 - 0.0173j, -0.2417 + 0.0309j, 3.0 * 0.143),
     "real": (-0.6123 + 0j, 0j, 3.0 * 0.1),
     "harmonic": (1.0 + 0j, -0.25 + 0.5j, 0.0),
+    "momentum": (0.05 - 0.01j, 0.9 + 0.05j, 3.0 * 0.143),
+    "imaginary": (complex(0.0, -0.279), complex(-0.0, -0.821), 0.0),
 }
 
 
@@ -838,6 +843,12 @@ class TestStepper:
         for xs in polynomials:
             for h in (0.0, 0.37, 1.0, 2.5):
                 assert repr(bound(xs, h)) == repr(loop_bound(xs, h))
+
+    @pytest.mark.parametrize("order", [2, 15, 20])
+    def test_compiled_step_calls_only_abs(self, order):
+        step, bound = trajectory._recurrence(order)
+        assert step.__globals__ is bound.__globals__
+        assert step.__globals__["__builtins__"] == {"abs": abs}
 
     def test_compiled_recurrence_returns_a_fresh_list(self):
         step = trajectory._recurrence(15)[0]
