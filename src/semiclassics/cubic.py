@@ -302,7 +302,9 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
     ArithmeticError
         If a root misses V(x) = E by more than 1e-12 of the size
         |E| + |x**2/2| + g |x|**3 of its terms, or k overflows a float
-        (8 g**2 |E| beyond float_max; the message names g and E).
+        (8 g**2 |E| beyond float_max), or the term 4 k / v1 of the other
+        two roots does (|k| just below float_max, as near g = 6e76 at the
+        corrected energy); either message names g and E.
     """
     g = model.g
     E = complex(energy)
@@ -333,7 +335,13 @@ def turning_points(model: CubicModel, energy: complex) -> TurningPoints:
         )
     v1 = _isolated_root(k)
     s = k / (v1 * v1)
-    d = cmath.sqrt(s * s + 4.0 * k / v1)
+    discriminant = s * s + 4.0 * k / v1
+    if not cmath.isfinite(discriminant):
+        raise ArithmeticError(
+            f"the term 4 k / v1 of the cubic's other two roots overflows a float "
+            f"at g={g!r}, E={E!r}"
+        )
+    d = cmath.sqrt(discriminant)
     roots = sorted((centre + v / unit for v in (v1, 0.5 * (s + d), 0.5 * (s - d))),
                    key=lambda z: (z.real, z.imag))
 

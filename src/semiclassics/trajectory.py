@@ -37,12 +37,17 @@ Each step's polynomial is its own dense output: the samples of
 numpy Horner pass in the operation order of the scalar evaluation (so
 bit-identical to it), and a crossing search tests Re x over the whole
 step polynomial, not only at the step ends, so an excursion past the
-target inside one step is not missed.  That search needs no LAPACK: the
-polynomial's Bernstein form bounds it on a window by its convex hull,
-de Casteljau halving narrows the windows the hull cannot settle, and
-bracketed Newton steps refine the first root once a window provably
-holds exactly one.  numpy is imported only where the samples' arrays
-are built, so a crossing search never loads it.  The energy drift
+target inside one step is not missed.  That search needs no LAPACK and
+has three tiers (``_first_reach``): a whole-step bound, compiled per
+order like the step, skips most steps; a quadratic majorant of the
+rest, with a rounding margin that makes it exact, skips most of what
+the bound lets through; and on the few steps left the polynomial's
+Bernstein form bounds it on a window by its convex hull, de Casteljau
+halving narrows the windows the hull cannot settle, and bracketed
+Newton steps refine the first root once a window provably holds
+exactly one.  Of table1's 296 steps the bound passes 18, the majorant
+7, and 4 of those hold a root.  numpy is imported only where the
+samples' arrays are built, so a crossing search never loads it.  The energy drift
 |H - E| is the quality diagnostic: it is checked at every step end and
 at every emitted sample.  The stepper holds only the current state and
 the sampling one block of samples and their steps, so memory beyond the
@@ -263,7 +268,7 @@ def _recurrence(order):
 
     ``bound(xs, h)`` is the whole-step bound of ``_first_reach``,
     sum_{k>=1} max(Re x_k, 0) h**k, by the same Horner operations as a
-    loop from k = order down.
+    loop from k = order down, on the coefficients unpacked once.
 
     The exponents 1/(order - 1) and 1/order and e**2 go into the source
     as float reprs; beyond them it holds only integer indices, and its
@@ -294,13 +299,23 @@ def _recurrence(order):
     for k in range(order - 2, -1, -1):
         lines += ["    p = p * h + x", f"    x = x * h + x{k}"]
     lines.append(f"    return [{', '.join(f'x{k}' for k in range(order + 1))}], h, x, p")
-    lines += ["def bound(xs, h):", "    b = 0.0"]
+    lines += ["def bound(xs, h):",
+              f"    _, {', '.join(f'x{k}' for k in range(1, order + 1))} = xs",
+              "    b = 0.0"]
     for k in range(order, 0, -1):
-        lines += [f"    r = xs[{k}].real", "    b = b * h if r <= 0.0 else (b + r) * h"]
+        lines += [f"    r = x{k}.real", "    b = b * h if r <= 0.0 else (b + r) * h"]
     lines.append("    return b")
     namespace = {"__builtins__": {"abs": abs}}
     exec(compile("\n".join(lines), f"<Taylor step of order {order}>", "exec"), namespace)
     return namespace["step"], namespace["bound"]
+
+
+def _order(cfg):
+    """(eps, order): the per-step error target of ``cfg``'s relative
+    tolerance and the Taylor order that meets it (see the module
+    docstring)."""
+    eps = max(_EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
+    return eps, max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
 
 
 def _stepper(model, energy, cfg):
@@ -313,8 +328,7 @@ def _stepper(model, energy, cfg):
     (x, p), where |H - E| is checked before the step is yielded.  The
     step that is the time left ends exactly at t_end, and the march there.
     """
-    eps = max(_EPS_PER_TOL * cfg.rel_tol, sys.float_info.epsilon)
-    order = max(2, math.ceil(1.0 - 0.5 * math.log(eps)))
+    eps, order = _order(cfg)
     # the local error target is eps * max(|x|, |p|, scale_floor): abs_tol
     # governs wherever max(|x|, |p|) < abs_tol / rel_tol: 1e-2 at the
     # defaults, 10 at rel_tol = 1e-13
@@ -341,32 +355,78 @@ def _stepper(model, energy, cfg):
     return march
 
 
-def _first_reach(xs, h, target):
+def _first_reach(xs, h, target, bound):
     """First tau in [0, h] at which Re x(tau) = target on the step
     polynomial ``xs``, or None; 0.0 if Re x already starts at or past it.
+    ``xs`` has degree n = len(xs) - 1 >= 2, the stepper's order, and
+    ``bound`` is its whole-step bound ``_recurrence(n)[1]``.
 
-    The step is skipped when Re x_0 + sum_{k>=1} max(Re x_k, 0) h**k
-    stays below the target: every tau**k with 0 <= tau <= h is at most
-    h**k and never negative, so a term with Re x_k < 0 can only lower
-    Re x, and that sum bounds Re x over the whole step.  Otherwise the
-    polynomial a(s) = Re x(h s) - target is searched on s in [0, 1] in
-    its Bernstein form, whose coefficients bound a from above and below
-    on their window (the convex hull property): a window whose
-    coefficients are all negative holds no root; one whose coefficients
-    change sign once, from negative to positive, holds exactly one, which
-    safeguarded Newton steps on the power form refine to about an ulp;
-    any other window is halved by de Casteljau's algorithm, the left half
-    searched first (Farouki & Rajan, CAGD 5 (1988) 1).  No window is
-    passed over unless its hull proves it root-free, so an excursion past
-    the target inside the step is found even when both step ends lie
-    below it.
+    Three tiers, each run only on what the one before lets through:
+
+    1. The bound.  The step is skipped when
+       Re x_0 + sum_{k>=1} max(Re x_k, 0) h**k stays below the target:
+       every tau**k with 0 <= tau <= h is at most h**k and never
+       negative, so a term with Re x_k < 0 can only lower Re x, and that
+       sum bounds Re x over the whole step.
+    2. The quadratic majorant.  With c_k = Re x_k h**k (c_0 < 0, the
+       start's distance to the target), a(s) = Re x(h s) - target =
+       sum c_k s**k lies, on s in [0, 1], below
+
+           m(s) = c_0 + c_1 s + Q s**2,   Q = c_2 + sum_{k>=3} max(c_k, 0),
+
+       because 0 <= s**k <= s**2 there for k >= 2.  m's maximum on
+       [0, 1] is c_0 - c_1**2 / (4 Q), at the vertex, when
+       Q < 0 < c_1 < -2 Q, and max(c_0, c_0 + c_1 + Q) otherwise.  The
+       step is skipped when that maximum is below -delta,
+
+           delta = 32 (n + 1) eps S + float_min,   S = sum |c_k|,
+
+       eps the float epsilon, which leaves tier 3's answer unchanged.
+       Why: the same inequality holds for the Bernstein coefficients,
+       since C(i, k) / C(n, k) <= C(i, 2) / C(n, 2) for k >= 2, and de
+       Casteljau halving takes averages, so on every window that tier 3
+       visits a's exact coefficients lie below m's.  m's last
+       coefficient on a window is its value at the window's end, and
+       none exceeds m's maximum by more than |Q| w**2 / (4 (n - 1)) on a
+       window of width w.  Rounding moves a's float coefficients by at
+       most S u (n + 2) in the conversion and S u n per halving,
+       u = eps / 2, for at most 50 halvings (tier 3 stops below a width
+       of 1e-15); the sum for Q adds S u (n - 2) and the formula for the
+       maximum S u 2.  In all that is S u (52 n + 2) = S eps (26 n + 1);
+       the rest of delta covers the width term after 50 halvings (below
+       1e-30 S) and float_min underflow.  So every window's last float
+       coefficient is negative, no window goes to Newton's method, and
+       after at most 50 halvings all of a window's float coefficients
+       are negative: tier 3 proves every window root-free and returns
+       None.  A NaN or inf coefficient makes S, and so delta, NaN or
+       inf, and the step goes on to tier 3.
+    3. The Bernstein search, on s in [0, 1].  The Bernstein coefficients
+       bound a from above and below on their window (the convex hull
+       property): a window whose coefficients are all negative holds no
+       root; one whose coefficients change sign once, from negative to
+       positive, holds exactly one, which safeguarded Newton steps on the
+       power form refine to about an ulp; any other window is halved by
+       de Casteljau's algorithm, the left half searched first (Farouki &
+       Rajan, CAGD 5 (1988) 1).  No window is passed over unless its hull
+       proves it root-free, so an excursion past the target inside the
+       step is found even when both step ends lie below it.
     """
     a0 = xs[0].real - target
     if a0 >= 0.0:
         return 0.0
-    if a0 + _recurrence(len(xs) - 1)[1](xs, h) < 0.0:
+    if a0 + bound(xs, h) < 0.0:
         return None
     c = [a0, *(xk.real * h**k for k, xk in enumerate(xs[1:], 1))]
+    c1, q = c[1], c[2]
+    for ck in c[3:]:
+        if ck > 0.0:
+            q += ck
+    if q < 0.0 < c1 < -2.0 * q:
+        top = a0 - c1 * (0.25 * c1 / q)
+    else:
+        top = max(a0, a0 + c1 + q)
+    if top < -(32 * len(c) * sys.float_info.epsilon * sum(map(abs, c)) + sys.float_info.min):
+        return None
     s = _first_root(c, _to_bernstein(c), 0.0, 1.0)
     return None if s is None else h * s
 
@@ -597,18 +657,20 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     )
 
 
-def _reach_on_row(orbit, march, T, n, target):
+def _reach_on_row(orbit, march, bound, T, n, target):
     """First s in [0, Re T) at which Re x(n Re T + s) reaches ``target``,
     or None.
 
     T is a period, so x(n Re T + s) = x(s - i n Im T): every row starts
     from the closed-form state ``orbit`` (``cubic._orbit``) at -i n Im T,
     and ``march`` (``_stepper``) walks s over one period from there,
-    stopping at the first step whose polynomial reaches the target.
+    stopping at the first step whose polynomial reaches the target
+    (``_first_reach`` with the whole-step bound ``bound`` of the march's
+    order).
     """
     x, p = orbit(-1j * n * T.imag)
     for s, h, xs, _x, _p in march(x, p, T.real):
-        tau = _first_reach(xs, h, target)
+        tau = _first_reach(xs, h, target, bound)
         if tau is not None:
             return s + tau
     return None
@@ -707,10 +769,11 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     t0 = _pole_time(model, tps, x0, p0)
     orbit = _orbit(model, periods, t0)
     march = _stepper(model, E, cfg)
+    bound = _recurrence(_order(cfg)[1])[1]
 
     @functools.cache
     def reach(n):
-        return _reach_on_row(orbit, march, T, n, target)
+        return _reach_on_row(orbit, march, bound, T, n, target)
 
     n, rows = 0, 1
     if reach(0) is None:

@@ -836,6 +836,19 @@ def test_overflowing_cubic_constant_is_a_failed_run(capsys, tmp_path, monkeypatc
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["turning-points", "crossing-time"])
+@pytest.mark.parametrize("g", ["5e76", "6e76", "6.3e76"])
+def test_overflowing_discriminant_is_a_failed_run(capsys, command, g):
+    # k is finite here (1.43e308 at g = 6e76's corrected energy -4.95e153),
+    # but 4 k / v1 in the discriminant of the other two roots overflows;
+    # these once failed as "turning point (nan+nanj) misses V(x) = E"
+    code, out, err = run(capsys, command, "--g", g)
+    assert code == 1
+    assert out == ""
+    assert "overflows a float at g=" in err and f"g={float(g)!r}, E=" in err
+    assert "nan" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["table1"], ["crossing-time"], ["trajectory", "--out", "traj.csv"],

@@ -175,13 +175,25 @@ def march_steps(model, energy, x, p, t_end, cfg):
     return trajectory._stepper(model, energy, cfg)(x, p, t_end)
 
 
+def first_reach(xs, h, target):
+    """``trajectory._first_reach`` with the whole-step bound of the order
+    of ``xs``."""
+    return trajectory._first_reach(xs, h, target, trajectory._recurrence(len(xs) - 1)[1])
+
+
+def default_bound():
+    """The whole-step bound at the order of the default tolerances, the
+    one ``crossing_time`` passes to ``_reach_on_row``."""
+    return trajectory._recurrence(trajectory._order(IntegratorConfig())[1])[1]
+
+
 def march_crossing_time(model, energy, x0, p0, t_max=2e5):
     """The crossing time found by marching through real time, step by step,
     with the package's stepper and in-step root search: the reference for
     the lattice reduction, or None if Re x3 is not reached by t_max."""
     target = turning_points(model, energy).x3.real
     for t, h, xs, _x, _p in march_steps(model, energy, x0, p0, t_max, IntegratorConfig()):
-        tau = trajectory._first_reach(xs, h, target)
+        tau = first_reach(xs, h, target)
         if tau is not None:
             return t + tau
     return None
@@ -392,6 +404,103 @@ def exact_root(c, s):
         return float(r)
 
 
+def grazing_step(lift, at_the_end):
+    """A degree-15 step polynomial of length 1 whose Re x comes within
+    lift max|a_k| of the target 1.3, and the target.
+
+    Re x(tau) - target = lift max|a_k| - (tau - 0.6)**2 (1 + tau**13 / 100):
+    both step ends sit at least 0.16 below the target, the maximum at
+    tau = 0.6 lies lift max|a_k| from it, and lift -1e-12 gives the
+    +1e-12 polynomial lowered by 2e-12 max|a_k|.  At the end:
+    lift max|a_k| - 15/16 + (tau + tau**2 + ... + tau**15) / 16, with
+    a_1 ... a_15 >= 0, rises to its maximum at the step end tau = 1,
+    where the whole-step bound equals it; the slope there is 7.5.
+    """
+    if at_the_end:
+        a = [-15.0 / 16.0] + [1.0 / 16.0] * 15
+    else:
+        quadratic = [0.36, -1.2, 1.0]
+        a = [0.0] * 16
+        for k, q in enumerate(quadratic):
+            a[k] -= q
+            a[k + 13] -= q / 100.0
+    a[0] += lift * max(map(abs, a))
+    target = 1.3
+    return [complex(ak + (target if k == 0 else 0.0), 0.1 * k) for k, ak in enumerate(a)], target
+
+
+GRAZING_CASES = [(1e-12, False), (-1e-12, False), (1e-12, True), (-1e-12, True)]
+
+
+def unscreened_first_reach(xs, h, target):
+    """``_first_reach`` without its quadratic majorant: the whole-step
+    bound, then the Bernstein search, as the package ran it before the
+    majorant came between them; the reference that the majorant must not
+    change, None included."""
+    a0 = xs[0].real - target
+    if a0 >= 0.0:
+        return 0.0
+    if a0 + loop_bound(xs, h) < 0.0:
+        return None
+    c = [a0, *(xk.real * h**k for k, xk in enumerate(xs[1:], 1))]
+    s = trajectory._first_root(c, trajectory._to_bernstein(c), 0.0, 1.0)
+    return None if s is None else h * s
+
+
+def majorant_margin(c):
+    """The margin delta of ``_first_reach``'s quadratic majorant for the
+    power coefficients c in s = tau / h: 32 (n + 1) eps sum|c_k| plus
+    the smallest normal float."""
+    return 32 * len(c) * sys.float_info.epsilon * sum(map(abs, c)) + sys.float_info.min
+
+
+STEP_LENGTHS = [1.0, 0.37, 2.5, 0.05]
+
+
+@st.composite
+def random_steps(draw):
+    """(xs, h, None): a step polynomial of degree 2-20 whose Re x starts
+    a0 in [-1.5, -1e-3] from the target 0, its other real parts in
+    [-r**k, r**k] for a decay r in [0.2, 1], as a Taylor series' decay
+    with its radius of convergence, and a length h from STEP_LENGTHS."""
+    n = draw(st.integers(2, 20))
+    r = draw(st.floats(0.2, 1.0))
+    a = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    xs = [complex(draw(st.floats(-1.5, -1e-3)), 0.5),
+          *(complex(ak * r**k, 0.5) for k, ak in enumerate(a, 1))]
+    return xs, draw(st.sampled_from(STEP_LENGTHS)), None
+
+
+@st.composite
+def near_majorant_steps(draw):
+    """(xs, h, t): a step polynomial of degree 2-20 and length h from
+    STEP_LENGTHS whose quadratic majorant m(s) (see ``_first_reach``) has
+    its maximum on [0, 1] at t delta, t in [-4, 4]: at the vertex of a
+    concave m, or at s = 1.  Its coefficients c_k = Re x_k h**k of degree
+    3 and up are zero, small or of size 1, and c_2 makes
+    Q = c_2 + sum_{k>=3} max(c_k, 0) the chosen value; where they are
+    zero, Re x is m itself."""
+    n = draw(st.integers(2, 20))
+    h = draw(st.sampled_from(STEP_LENGTHS))
+    t = draw(st.floats(-4.0, 4.0))
+    c0 = draw(st.floats(-1.5, -1e-3))
+    size = draw(st.sampled_from([0.0, 1e-6, 1.0]))
+    higher = [size * draw(st.floats(-1.0, 1.0)) for _ in range(n - 2)]
+    vertex = draw(st.booleans())
+    ratio = draw(st.floats(1.05, 20.0) if vertex else st.floats(-0.9, 2.0))
+    c = [c0, 0.0, 0.0, *higher]
+    for _ in range(2):  # delta depends on c_1 and c_2, but hardly
+        top = t * majorant_margin(c)
+        if vertex:  # m(s) = c0 + c1 s + q s**2 peaks at c0 - c1**2 / (4 q) = top
+            q = ratio * (c0 - top)
+            c[1] = 2.0 * math.sqrt(ratio) * (top - c0)
+        else:  # m(1) = c0 + c1 + q = top, and m rises to s = 1
+            q = ratio * -c0
+            c[1] = top - c0 - q
+        c[2] = q - sum(ck for ck in higher if ck > 0.0)
+    return [complex(ck / h**k, 0.25) for k, ck in enumerate(c)], h, t
+
+
 # the rows, row 0 first, that crossing_time bisected for each table1
 # coupling before it galloped from the closed-form prediction
 BISECTED_ROWS = {
@@ -407,15 +516,17 @@ def bisected_row_searches():
     """The step polynomials of the rows of BISECTED_ROWS, each marched by
     _reach_on_row, that pass the two-sided whole-step bound
     Re x_0 + sum_{k>=1} |Re x_k| h**k >= target, scaled to s = tau / h,
-    each with whether _first_reach itself passes them to the Bernstein
-    search: the corpus does not depend on the bound _first_reach uses."""
+    each with whether it passes the one-sided whole-step bound of
+    _first_reach and whether _first_reach itself passes it to the
+    Bernstein search: the corpus does not depend on the tiers _first_reach
+    uses."""
     reached = []
-    first_reach = trajectory._first_reach
+    package_reach = trajectory._first_reach
     to_bernstein = trajectory._to_bernstein
 
-    def recording_reach(xs, h, target):
+    def recording_reach(xs, h, target, bound):
         reached.append([xs, h, target, False])
-        return first_reach(xs, h, target)
+        return package_reach(xs, h, target, bound)
 
     def recording_bernstein(c):
         reached[-1][-1] = True
@@ -432,7 +543,7 @@ def bisected_row_searches():
             orbit = _orbit(model, periods, t0)
             step = trajectory._stepper(model, energy, IntegratorConfig())
             for n in rows:
-                trajectory._reach_on_row(orbit, step, periods[0], n, tps.x3.real)
+                trajectory._reach_on_row(orbit, step, default_bound(), periods[0], n, tps.x3.real)
     searched = []
     for xs, h, target, bernstein in reached:
         a = [c.real for c in xs]
@@ -441,33 +552,46 @@ def bisected_row_searches():
         for c in a[:0:-1]:
             bound = (bound + abs(c)) * h
         if a[0] < 0.0 <= a[0] + bound:
-            searched.append(([ak * h**k for k, ak in enumerate(a)], bernstein))
+            one_sided = a[0] + loop_bound(xs, h) >= 0.0
+            searched.append(([ak * h**k for k, ak in enumerate(a)], one_sided, bernstein))
     return searched
 
 
 @pytest.fixture(scope="module")
 def table1_root_searches():
-    """The scaled step polynomials (power coefficients in s = tau / h) that
-    reach the Bernstein search in one table1 run, and how many np.roots
-    calls that run made."""
+    """The scaled step polynomials (power coefficients in s = tau / h) of
+    one table1 run that pass the one-sided whole-step bound of
+    _first_reach, each with whether it reached the Bernstein search, the
+    number of _first_reach calls and how many np.roots calls the run
+    made."""
     searched = []
-    roots_calls = [0]
+    calls = [0, 0]
+    package_reach = trajectory._first_reach
     to_bernstein = trajectory._to_bernstein
     roots = np.roots
 
+    def recording_reach(xs, h, target, bound):
+        calls[0] += 1
+        a0 = xs[0].real - target
+        if a0 < 0.0 <= a0 + loop_bound(xs, h):
+            searched.append([[a0, *(xk.real * h**k for k, xk in enumerate(xs[1:], 1))], False])
+        return package_reach(xs, h, target, bound)
+
     def recording(c):
-        searched.append(list(c))
+        assert searched[-1][0] == c
+        searched[-1][1] = True
         return to_bernstein(c)
 
     def counting(*args, **kwargs):
-        roots_calls[0] += 1
+        calls[1] += 1
         return roots(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trajectory, "_first_reach", recording_reach)
         patch.setattr(trajectory, "_to_bernstein", recording)
         patch.setattr(np, "roots", counting)
         compute_table1()
-    return searched, roots_calls[0]
+    return searched, *calls
 
 
 def dop853_reference(g, t_eval=None, crossing=False):
@@ -1015,11 +1139,11 @@ class TestCrossingTime:
         # ends sit 0.5 left of the target, the maximum at tau = 1 sits 0.5
         # right of it.  The first root is tau = 1 - sqrt(1/2).
         xs = [0.8 + 0.1j, 2.0 - 0.3j, -1.0 + 0.2j]
-        assert trajectory._first_reach(xs, 2.0, 1.3) == pytest.approx(
+        assert first_reach(xs, 2.0, 1.3) == pytest.approx(
             1.0 - math.sqrt(0.5), rel=1e-12
         )
         # the same step stopped at tau = 0.25 stays left of the target
-        assert trajectory._first_reach(xs, 0.25, 1.3) is None
+        assert first_reach(xs, 0.25, 1.3) is None
 
     def test_start_beyond_x3_crosses_immediately(self):
         g = 0.1
@@ -1090,23 +1214,41 @@ class TestRootSearch:
     convex hull, de Casteljau halving and bracketed Newton steps."""
 
     def test_table1_search_count(self, table1_root_searches):
-        # 296 in-step searches, of which the whole-step bound rejects 278
-        searched, roots_calls = table1_root_searches
+        # 296 in-step searches: the whole-step bound rejects 278, the
+        # quadratic majorant 11 of the other 18, and 4 of the 7 left for
+        # the Bernstein search hold a root; what the majorant rejects has
+        # no root by np.roots either
+        searched, reach_calls, roots_calls = table1_root_searches
         assert roots_calls == 0
+        assert reach_calls == 296
         assert len(searched) == 18
+        assert sum(bernstein for _, bernstein in searched) == 7
+        found = 0
+        for c, bernstein in searched:
+            reference = np_roots_first_reach(c)
+            if bernstein:
+                s = trajectory._first_root(c, trajectory._to_bernstein(c), 0.0, 1.0)
+                assert (s is None) == (reference is None)
+                found += s is not None
+            else:
+                assert reference is None
+        assert found == 4
 
     def test_agrees_with_np_roots_on_table1(self, bisected_row_searches):
         # the same roots as np.roots, and each within an ulp of the exact
         # root of the float polynomial, which np.roots misses by up to 16.5;
-        # what the one-sided bound of _first_reach skips has no root either
+        # what the one-sided bound of _first_reach skips (42) and what its
+        # quadratic majorant rejects of the rest (23) have no root either
         searched = bisected_row_searches
         assert len(searched) == 84
-        assert sum(bernstein for _, bernstein in searched) == 42
+        assert sum(one_sided for _, one_sided, _ in searched) == 42
+        assert sum(bernstein for _, _, bernstein in searched) == 19
         found = 0
-        for c, bernstein in searched:
+        for c, one_sided, bernstein in searched:
             s = trajectory._first_root(c, trajectory._to_bernstein(c), 0.0, 1.0)
             reference = np_roots_first_reach(c)
             assert (s is None) == (reference is None)
+            assert one_sided or not bernstein
             if not bernstein:
                 assert reference is None
             if s is not None:
@@ -1114,29 +1256,56 @@ class TestRootSearch:
                 assert abs(s - exact_root(c, reference)) <= sys.float_info.epsilon
         assert found == 15
 
-    @pytest.mark.parametrize("lift, at_the_end", [
-        (1e-12, False), (-1e-12, False), (1e-12, True), (-1e-12, True)],
-        ids=["above", "below", "above-at-the-end", "below-at-the-end"])
+    def test_majorant_matches_the_unscreened_search(self, monkeypatch):
+        # _first_reach returns what the bound and the Bernstein search
+        # alone return, to the bit and None included, on random steps, on
+        # steps whose majorant peaks within 4 delta of the target on
+        # either side, and on the grazing steps.  The majorant must do
+        # work: it rejects 83 of the 604 cases and 10 of the 56 random
+        # steps that pass the bound (at least 8% of each are asked), and
+        # a near step exactly when its maximum lies below -delta (to 5%
+        # of delta)
+        searches = []
+        to_bernstein = trajectory._to_bernstein
+        monkeypatch.setattr(trajectory, "_to_bernstein",
+                            lambda c: searches.append(c) or to_bernstein(c))
+        tally = {"cases": 0, "rejected": 0, "random passed": 0, "random rejected": 0}
+
+        def check(xs, h, t, target=0.0):
+            searches.clear()
+            tau = first_reach(xs, h, target)
+            searched = bool(searches)
+            assert repr(tau) == repr(unscreened_first_reach(xs, h, target))
+            a0 = xs[0].real - target
+            passed = a0 < 0.0 <= a0 + loop_bound(xs, h)
+            rejected = passed and not searched
+            tally["cases"] += 1
+            tally["rejected"] += rejected
+            if t is None:
+                tally["random passed"] += passed
+                tally["random rejected"] += rejected
+            elif t <= -1.05:
+                assert not searched
+            elif t >= -0.95:
+                assert searched or not passed
+
+        @settings(deadline=None, max_examples=600, derandomize=True, database=None)
+        @given(case=st.one_of(random_steps(), near_majorant_steps()))
+        def random_and_near(case):
+            check(*case)
+
+        random_and_near()
+        for lift, at_the_end in GRAZING_CASES:
+            xs, target = grazing_step(lift, at_the_end)
+            check(xs, 1.0, None, target)
+        assert tally["rejected"] >= 0.08 * tally["cases"]
+        assert tally["random rejected"] >= 0.08 * tally["random passed"]
+
+    @pytest.mark.parametrize("lift, at_the_end", GRAZING_CASES,
+                             ids=["above", "below", "above-at-the-end", "below-at-the-end"])
     def test_grazing_excursion(self, lift, at_the_end):
-        # Re x(tau) - target = lift max|a_k| - (tau - 0.6)**2 (1 + tau**13 / 100),
-        # of degree 15: both step ends sit at least 0.16 below the target,
-        # the maximum at tau = 0.6 lies lift max|a_k| from it, and "below"
-        # is the "above" polynomial lowered by 2e-12 max|a_k|.  At the end:
-        # lift max|a_k| - 15/16 + (tau + tau**2 + ... + tau**15) / 16, with
-        # a_1 ... a_15 >= 0, rises to its maximum at the step end tau = 1,
-        # where the whole-step bound equals it; the slope there is 7.5
-        if at_the_end:
-            a = [-15.0 / 16.0] + [1.0 / 16.0] * 15
-        else:
-            quadratic = [0.36, -1.2, 1.0]
-            a = [0.0] * 16
-            for k, q in enumerate(quadratic):
-                a[k] -= q
-                a[k + 13] -= q / 100.0
-        a[0] += lift * max(map(abs, a))
-        target = 1.3
-        xs = [complex(ak + (target if k == 0 else 0.0), 0.1 * k) for k, ak in enumerate(a)]
-        tau = trajectory._first_reach(xs, 1.0, target)
+        xs, target = grazing_step(lift, at_the_end)
+        tau = first_reach(xs, 1.0, target)
         if lift < 0:
             assert tau is None
         elif at_the_end:
@@ -1151,13 +1320,13 @@ class TestRootSearch:
         # no hull proves a window root-free and no window holds a sign
         # change: halving stops at the width limit just left of the touch
         xs = [1.05 + 0.2j, 1.0, -1.0 - 0.1j]
-        tau = trajectory._first_reach(xs, 1.0, 1.3)
+        tau = first_reach(xs, 1.0, 1.3)
         assert 0.5 - 2 * trajectory._MIN_WIDTH <= tau <= 0.5
 
     def test_step_starting_past_the_target(self):
         # a step whose Re x starts at or past the target reaches it at 0
-        assert trajectory._first_reach([1.3 + 0.5j, -1.0, -1.0], 0.5, 1.3) == 0.0
-        assert trajectory._first_reach([1.4 + 0j, -1.0, -1.0], 0.5, 1.3) == 0.0
+        assert first_reach([1.3 + 0.5j, -1.0, -1.0], 0.5, 1.3) == 0.0
+        assert first_reach([1.4 + 0j, -1.0, -1.0], 0.5, 1.3) == 0.0
 
     def test_newton_on_adjacent_floats(self):
         # near the triple root of (s - 1/2)**3 the polynomial's value is
@@ -1194,7 +1363,7 @@ class TestRootSearch:
                            for r in roots))
             assume(all(abs(r) > 1e-9 and abs(r - h) > 1e-9 for r in real))
             inside = [r for r in real if 0 < r < h]
-            tau = trajectory._first_reach([complex(ak, 0.5) for ak in a], h, 0.0)
+            tau = first_reach([complex(ak, 0.5) for ak in a], h, 0.0)
             if not inside:
                 assert tau is None
                 return
@@ -1265,7 +1434,7 @@ class TestLatticeReduction:
         t0 = _pole_time(model, tps, x1, 0j)
         assert math.floor(crossing_time(model, energy, x1, 0j) / periods[0].real) == first_row
         args = (_orbit(model, periods, t0), trajectory._stepper(model, energy, IntegratorConfig()),
-                periods[0])
+                default_bound(), periods[0])
         scanned = next(
             n for n in itertools.count()
             if trajectory._reach_on_row(*args, n, tps.x3.real) is not None
@@ -1457,7 +1626,8 @@ class TestLatticeReduction:
         t0 = _pole_time(model, tps, x0, p0)
         orbit = _orbit(model, periods, t0)
         assert _row_bracket(model, periods, t0, orbit, tps.x3.real) == (142, 118)
-        args = (orbit, trajectory._stepper(model, energy, IntegratorConfig()), periods[0])
+        args = (orbit, trajectory._stepper(model, energy, IntegratorConfig()), default_bound(),
+                periods[0])
         for n in (1, 2, 3):
             assert trajectory._reach_on_row(*args, n, tps.x3.real) is None
 
@@ -1512,7 +1682,7 @@ class TestLatticeReduction:
         if rows_miss:
             reach_on_row = trajectory._reach_on_row
             monkeypatch.setattr(trajectory, "_reach_on_row",
-                                lambda *args: reach_on_row(*args) if args[3] == 0 else None)
+                                lambda *args: reach_on_row(*args) if args[4] == 0 else None)
         calls = {"_row_bracket": 0}
         monkeypatch.setattr(trajectory, "_row_bracket",
                             call_counter(calls, "_row_bracket", trajectory._row_bracket))
@@ -1805,7 +1975,7 @@ class TestJacobiOracle:
         t0 = _pole_time(model, tps, x1, 0j)
         trajectory._reach_on_row(_orbit(model, periods, t0),
                                  trajectory._stepper(model, energy, IntegratorConfig()),
-                                 periods[0], 2, tps.x3.real)
+                                 default_bound(), periods[0], 2, tps.x3.real)
 
     # the same from x1 + 0.05i, against the crossing at rel_tol 1e-13
     @pytest.mark.parametrize("g, exact", [
