@@ -49,6 +49,7 @@ _LARGEST = 1e16
 _SPLITTER = 134217729.0  # 2**27 + 1
 _CLEAR_OF_TIE = 0.5 - 2.0**-40
 _NO_POINT = 99  # the point column of X = -1 ... -4: the point is in the lead
+_BLOCK_ROWS = 512  # rows a chunk; its temporaries peak at about 270 bytes a cell
 
 _COLUMN = np.arange(18, dtype=np.uint8)[:, None]
 _POWERS = (np.float32(10.0) ** np.arange(5, -1, -1, dtype=np.float32))[:, None]
@@ -101,161 +102,75 @@ def _ceil_power_of_ten(x):
     return value if exact else math.nextafter(value, math.inf)
 
 
-def csv_rows(columns, block_rows):
+def csv_rows(columns):
     """Yield the CSV text of rows of equal-length float64 ``columns``,
-    ``block_rows`` rows a chunk: each cell ``'%.17g' % v``, cells joined
+    ``_BLOCK_ROWS`` rows a chunk: each cell ``'%.17g' % v``, cells joined
     by ',' and rows ended by '\\n'."""
-    count = len(columns[0])
-    rows = min(count, block_rows)
-    if rows:
-        block = _Block(rows, len(columns))
-        for lo in range(0, count, rows):
-            yield block.text([c[lo:lo + rows] for c in columns])
-
-
-class _Block:
-    """The work arrays of one block of cells, reused for every block."""
-
-    def __init__(self, rows, width):
-        size = rows * width
-        self.rows = np.empty((rows, width))
-        (self.magnitude, self.top, self.bottom, self.product, self.rest, self.work,
-         self.table) = np.empty((7, size))
-        self.field, self.index, self.digits, self.part = np.empty((4, size), np.int64)
-        self.fast, self.flag = np.empty((2, size), bool)
-        self.groups = np.empty((3, 1, size), np.float32)
-        self.quotients = np.empty((3, 6, size), np.float32)
-        self.tens = np.empty((3, 1, size), np.float32)
-        self.decimals = np.empty((18, size), np.uint8)  # row 0 is always 0
-        self.last, self.point, self.whole = np.empty((3, size), np.uint8)
-        self.region, self.term = np.empty((2, 18, size), np.uint8)
-        self.side = np.empty((18, size), bool)
-        self.chars = np.empty((size, _WIDTH), np.uint8)
-
-    def text(self, columns):
-        """The CSV rows of a block: ``columns`` are slices of equal length."""
-        rows = self.rows[:len(columns[0])]
-        for j, column in enumerate(columns):
-            rows[:, j] = column
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in columns])
         cells = rows.reshape(-1)
-        fast, index = self._digits(cells)
-        chars = self._draw(cells, index)
+        fast, index, decimals = _digits(cells)
+        chars = _draw(cells, index, decimals)
         chars.reshape(len(rows), -1, _WIDTH)[:, -1, _SEP] = ord("\n")
         slow = np.flatnonzero(~fast)
         if len(slow):  # Python's text, space-padded to the 24 bytes before the tail
             text = "%-24.17g" * len(slow) % tuple(cells[slow].tolist())
             chars[slow, :_TAIL] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _TAIL)
-        return chars.tobytes().translate(None, b"\0 ").decode("ascii")
+        yield chars.tobytes().translate(None, b"\0 ").decode("ascii")
 
-    def _digits(self, cells):
-        """Fill ``decimals`` with each cell's 17 digits; return the mask
-        of the cells they are proven for and each cell's template row."""
-        row, above, high, high_top, high_bottom, low = _tables()[:6]
-        n = len(cells)
-        a, top, bottom, product, rest, work, table = (
-            x[:n] for x in (self.magnitude, self.top, self.bottom, self.product,
-                            self.rest, self.work, self.table))
-        field, index, digits, part = (x[:n] for x in (self.field, self.index, self.digits,
-                                                      self.part))
-        fast, flag = self.fast[:n], self.flag[:n]
-        with np.errstate(all="ignore"):  # the lanes of the cells left to Python
-            np.abs(cells, out=a)
-            np.right_shift(a.view(np.int64), 52, out=field)
-            row.take(field, out=index, mode="clip")
-            np.greater_equal(a, above.take(field, out=work, mode="clip"), out=flag)
-            index += flag
-            np.greater_equal(a, _SMALLEST, out=fast)
-            np.less(a, _LARGEST, out=flag)
-            fast &= flag
-            index *= fast
-            # a * 10**q = product + rest, rest's rounding error below 6e-15
-            np.multiply(a, _SPLITTER, out=top)
-            np.subtract(top, a, out=work)
-            top -= work
-            np.subtract(a, top, out=bottom)
-            np.multiply(a, high.take(index, out=table, mode="clip"), out=product)
-            high_top.take(index, out=table, mode="clip")
-            np.multiply(top, table, out=rest)
-            rest -= product
-            np.multiply(bottom, table, out=table)
-            high_bottom.take(index, out=work, mode="clip")
-            np.multiply(top, work, out=top)
-            rest += top
-            rest += table
-            np.multiply(bottom, work, out=bottom)
-            rest += bottom
-            np.multiply(a, low.take(index, out=work, mode="clip"), out=work)
-            rest += work
-            np.rint(rest, out=work)
-            np.subtract(rest, work, out=rest)
-            np.abs(rest, out=rest)
-            np.less(rest, _CLEAR_OF_TIE, out=flag)
-            fast &= flag
-            np.copyto(digits, product, casting="unsafe")
-            np.copyto(part, work, casting="unsafe")
-        digits += part
-        np.greater_equal(digits, 10**16, out=flag)
-        fast &= flag
-        np.less(digits, 10**17, out=flag)
-        fast &= flag
+
+def _digits(cells):
+    """Each cell's 17 digits, a row per digit after a row of zeros, the
+    mask of the cells they are proven for and each cell's template row."""
+    row, above, high, high_top, high_bottom, low = _tables()[:6]
+    with np.errstate(all="ignore"):  # the lanes of the cells left to Python
+        a = np.abs(cells)
+        field = a.view(np.int64) >> 52
+        index = row.take(field, mode="clip") + (a >= above.take(field, mode="clip"))
+        fast = (a >= _SMALLEST) & (a < _LARGEST)
         index *= fast
-        digits *= fast
-        np.equal(a, 0.0, out=flag)  # all digits 0 on row 0: '0'
-        fast |= flag
-        # three groups of six digits (the first has five), exact in float32
-        groups = self.groups[..., :n]
-        np.floor_divide(digits, 10**6, out=part)
-        np.multiply(part, 10**6, out=field)
-        np.subtract(digits, field, out=field)
-        groups[2, 0] = field
-        np.floor_divide(part, 10**6, out=digits)
-        groups[0, 0] = digits
-        np.multiply(digits, 10**6, out=field)
-        np.subtract(part, field, out=field)
-        groups[1, 0] = field
-        quotients, tens = self.quotients[..., :n], self.tens[..., :n]
-        np.divide(groups, _POWERS, out=quotients)
-        np.floor(quotients, out=quotients)
-        decimals = self.decimals[:, :n].reshape(3, 6, n)
-        for k in range(5, 0, -1):  # digit k is quotient k less 10 times quotient k - 1
-            np.multiply(quotients[:, k - 1:k], 10, out=tens)
-            quotients[:, k:k + 1] -= tens
-        np.copyto(decimals, quotients, casting="unsafe")
-        return fast, index
+        # a * 10**q = product + rest, rest's rounding error below 6e-15
+        top = a * _SPLITTER
+        top -= top - a
+        bottom = a - top
+        product = a * high.take(index, mode="clip")
+        h_top = high_top.take(index, mode="clip")
+        h_bottom = high_bottom.take(index, mode="clip")
+        rest = (top * h_top - product + top * h_bottom + bottom * h_top
+                + bottom * h_bottom + a * low.take(index, mode="clip"))
+        whole = np.rint(rest)
+        fast &= np.abs(rest - whole) < _CLEAR_OF_TIE
+        digits = product.astype(np.int64) + whole.astype(np.int64)
+    fast &= (digits >= 10**16) & (digits < 10**17)
+    index *= fast
+    digits *= fast
+    fast |= a == 0.0  # all digits 0 on row 0: '0'
+    # three groups of six digits (the first has five), exact in float32
+    upper, lower = np.divmod(digits, 10**6)
+    groups = np.array([*np.divmod(upper, 10**6), lower], np.float32)[:, None]
+    quotients = np.floor(groups / _POWERS)
+    quotients[:, 1:] -= quotients[:, :-1] * 10  # digit k: quotient k less 10 quotient k - 1
+    return fast, index, quotients.astype(np.uint8).reshape(18, -1)
 
-    def _draw(self, cells, index):
-        """Each cell's slot from its digits and template row, 0 in the
-        bytes it does not print."""
-        template, point_table, whole_table = _tables()[6:]
-        n = len(cells)
-        digits = self.decimals[1:, :n]
-        last, point, whole = self.last[:n], self.point[:n], self.whole[:n]
-        region, term, side = (x[..., :n] for x in (self.region, self.term, self.side))
-        chars, flag = self.chars[:n], self.flag[:n]
-        # the last digit '%g' prints: the last nonzero one, or the units digit
-        np.not_equal(digits, 0, out=side[1:])
-        np.multiply(side[1:], _COLUMN[:17], out=term[1:])
-        np.maximum.reduce(term[1:], axis=0, out=last)
-        point_table.take(index, out=point, mode="clip")
-        whole_table.take(index, out=whole, mode="clip")
-        np.greater_equal(last, point, out=flag)
-        np.maximum(last, whole, out=last)
-        last += flag  # the column after a point that is printed
-        # digit c sits in column c before the point and c + 1 after it
-        digits += np.uint8(ord("0"))
-        np.less(_COLUMN[:17], point, out=side[:17])
-        np.multiply(digits, side[:17], out=region[:17])
-        region[17] = 0
-        np.greater(_COLUMN[1:], point, out=side[1:])
-        np.multiply(digits, side[1:], out=term[1:])
-        region[1:] += term[1:]
-        np.equal(_COLUMN, point, out=side)
-        np.multiply(side, np.uint8(ord(".")), out=term)
-        region += term
-        np.less_equal(_COLUMN, last, out=side)
-        region *= side
-        template.take(index, axis=0, out=chars, mode="clip")
-        chars[:, _DIGITS:_TAIL] = region.T
-        np.signbit(cells, out=flag)  # numpy 2.4 errs writing it to a strided out=
-        np.multiply(flag, np.uint8(ord("-")), out=chars[:, 0])
-        return chars
+
+def _draw(cells, index, decimals):
+    """Each cell's slot from its digits and template row, 0 in the bytes
+    it does not print."""
+    template, point_table, whole_table = _tables()[6:]
+    digits = decimals[1:]
+    # the last digit '%g' prints: the last nonzero one, or the units digit
+    last = np.max((digits != 0) * _COLUMN[:17], axis=0)
+    point = point_table.take(index, mode="clip")
+    after = last >= point  # the column after a point that is printed
+    last = np.maximum(last, whole_table.take(index, mode="clip")) + after
+    # digit c sits in column c before the point and c + 1 after it
+    digits += np.uint8(ord("0"))
+    region = np.zeros_like(decimals)
+    region[:17] = digits * (_COLUMN[:17] < point)
+    region[1:] += digits * (_COLUMN[1:] > point)
+    region += (_COLUMN == point) * np.uint8(ord("."))
+    region *= _COLUMN <= last
+    chars = template.take(index, axis=0, mode="clip")
+    chars[:, _DIGITS:_TAIL] = region.T
+    chars[:, 0] = np.signbit(cells) * np.uint8(ord("-"))
+    return chars

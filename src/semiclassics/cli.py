@@ -66,11 +66,6 @@ MAX_POLES = 10**5
 
 ROOT_HEADERS = ["root", "re", "im"]
 
-# Rows of float columns formatted per chunk by _csvfloat.csv_rows.  Its
-# work arrays are about 300 bytes a cell, so a trajectory's 6 columns
-# take about 1 MB of them whatever the horizon: no whole-column copy.
-_CSV_BLOCK = 512
-
 
 # ---------------------------------------------------------------------------
 # output: run manifest and the row renderer
@@ -115,8 +110,8 @@ def _render(fmt: str, headers, rows=(), columns=()):
     CSV cell and ``none`` in a table.  A CSV chunk is one row.
 
     ``columns``, for CSV in place of ``rows``, holds float64 arrays of
-    equal length, one per header; a chunk is then up to _CSV_BLOCK of its
-    rows.
+    equal length, one per header; a chunk is then up to
+    _csvfloat._BLOCK_ROWS of its rows.
     """
     if fmt == "csv":
         yield ",".join(headers) + "\n"
@@ -127,7 +122,7 @@ def _render(fmt: str, headers, rows=(), columns=()):
             # '%.17g' % v, the conversion of _cell
             from ._csvfloat import csv_rows
 
-            yield from csv_rows(columns, _CSV_BLOCK)
+            yield from csv_rows(columns)
         return
     cells = [[_cell(v, 6, "none") for v in row] for row in rows]
     widths = [max(len(c) for c in column) for column in zip(headers, *cells)]

@@ -425,8 +425,8 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
     "w": [numbers], "T": [numbers]}.  Arrays are ascending-power
     coefficients.  "T" may be omitted when S is linear, in which case
     it is inferred as dS/dE.  Violations raise OrbitSchemaError naming
-    the field, among them a "lambda" whose lambda pi / 2 is not a finite
-    float.
+    the field, among them a NaN or infinite coefficient and a "lambda"
+    whose lambda pi / 2 is not a finite float.
     """
     if not isinstance(data, dict):
         raise OrbitSchemaError(f"{source}: document must be a JSON object")
@@ -438,11 +438,14 @@ def orbit_from_dict(data: dict, source: str = "orbit") -> OrbitModel:
         ):
             raise OrbitSchemaError(f"{source}: field '{field}' must be a list of numbers")
         try:
-            return [float(v) for v in raw]
+            values = [float(v) for v in raw]
         except OverflowError as exc:
             raise OrbitSchemaError(
                 f"{source}: field '{field}' holds an integer beyond the float range"
             ) from exc
+        if not all(map(math.isfinite, values)):  # json reads NaN and Infinity
+            raise OrbitSchemaError(f"{source}: field '{field}' holds a non-finite number")
+        return values
 
     for field in ("name", "lambda", "S", "w"):
         if field not in data:

@@ -117,10 +117,11 @@ DRIFT_FAILURE_LIMIT = 1e-6
 # Initial data must sit on the energy shell to this relative accuracy.
 _SHELL_TOL = 1e-10
 
-# Most samples one trajectory may hold: 16 MB per complex column.  The
-# default sampled horizon, SAMPLED_T_MAX = 100 at the default interval
-# 0.05, needs 2,001; the cap on any horizon, IntegratorConfig.t_max = 2e5,
-# fits at intervals above 0.2.
+# Most samples one trajectory may hold, t_max's endpoint included: 16 MB
+# per complex column.  The default sampled horizon, SAMPLED_T_MAX = 100 at
+# the default interval 0.05, needs 2,001; the cap on any horizon,
+# IntegratorConfig.t_max = 2e5, fits at intervals from 2e5 / 999,999
+# = 0.2000002000002 up.
 MAX_SAMPLES = 10**6
 
 # Horizon of a sampled trajectory when none is given, for ``integrate``
@@ -524,18 +525,21 @@ def _check_shell(model, energy, x0, p0):
 def _sample_times(t_max, interval):
     import numpy as np
 
-    # floor(count) + 1 samples, over the limit exactly when count is; count
-    # is inf at a subnormal interval, so it is checked before floor
+    # n + 1 samples on the grid, n = floor(count), and t_max after them
+    # unless the grid ends there, all counted before any is allocated;
+    # count is inf at a subnormal interval, so it is capped before floor
     count = t_max / interval + 1e-9
-    if count >= MAX_SAMPLES:
+    n = math.floor(min(count, MAX_SAMPLES))
+    last = min(interval * n, t_max)
+    endpoint = t_max - last > 1e-12 * max(1.0, t_max)
+    if n + 1 + endpoint > MAX_SAMPLES:
         raise ValueError(
             f"t_max = {t_max:g} at sample interval {interval:g} needs more than "
             f"the limit of {MAX_SAMPLES} samples"
         )
-    n = math.floor(count)
     times = interval * np.arange(n + 1)
-    times[-1] = min(times[-1], t_max)
-    if t_max - times[-1] > 1e-12 * max(1.0, t_max):
+    times[-1] = last
+    if endpoint:
         times = np.append(times, t_max)
     return times
 

@@ -23,8 +23,9 @@ from semiclassics import (
     wkb_lifetime,
 )
 from semiclassics import cli, cubic
-from semiclassics.cli import (_CSV_BLOCK, MAX_POLES, _build_parser, _cell, _config,
-                              _json_default, _render, main)
+from semiclassics._csvfloat import _BLOCK_ROWS
+from semiclassics.cli import (MAX_POLES, _build_parser, _cell, _config, _json_default,
+                              _render, main)
 from semiclassics.gutzwiller import OrbitModel, PoleIndex
 from tests.test_gutzwiller import double_sum_response
 
@@ -84,7 +85,7 @@ class TestRender:
 
 
 class TestRenderBlocks:
-    # float columns are formatted _CSV_BLOCK rows at a time; the joined
+    # float columns are formatted _BLOCK_ROWS rows at a time; the joined
     # text must be the per-row text of every row, whatever the block
     # boundaries
     HEADERS = ["t", "re_x", "im_x", "re_p", "im_p", "energy_drift"]
@@ -118,8 +119,8 @@ class TestRenderBlocks:
         x.real, x.imag, p.real, p.imag = cells[1:5]
         return (cells[0], x.real, x.imag, p.real, p.imag, cells[5])
 
-    @pytest.mark.parametrize("count", [0, 1, 63, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
-                                       2 * _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("count", [0, 1, 63, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                       _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
     def test_float_columns(self, count):
         columns = self.columns(count)
         assert [c.dtype for c in columns] == [np.float64] * 6
@@ -316,7 +317,7 @@ class TestTrajectory:
         (traj,) = trajectories
         columns = (traj.t, traj.x.real, traj.x.imag, traj.p.real, traj.p.imag,
                    traj.energy_drift)
-        assert len(traj) > _CSV_BLOCK or argv == self.GOLDEN_ARGS
+        assert len(traj) > _BLOCK_ROWS or argv == self.GOLDEN_ARGS
         assert out_path.read_bytes() == self.percent_writer(columns)
 
     def test_zero_length_run(self, capsys, tmp_path):
@@ -341,6 +342,9 @@ class TestTrajectory:
               "--x0", "re=0.1,im=0", "--t-max", "1"], "barrier top"),
             # a subnormal interval: the sample count overflows to inf
             (["--g", "0.1", "--t-max", "100", "--sample-interval", "1e-320"], "samples"),
+            # 10**6 grid samples and the endpoint t_max: one over the sample cap
+            (["--g", "0.1", "--t-max", "200000", "--sample-interval", "0.2000001"],
+             "the limit of 1000000 samples"),
             # 1,001 samples over a horizon beyond the default t_max, 2e5
             (["--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e15",
               "--sample-interval", "1e12"], "t_max = 1e+15 exceeds the limit of 200000"),

@@ -1,6 +1,7 @@
 """The vectorized '%.17g' of the trajectory CSV against Python's, cell by cell."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,13 @@ from semiclassics._csvfloat import csv_rows
 WIDTH = 6
 
 
-def mismatches(values, block_rows=512):
+def mismatches(values):
     """The cells whose text differs from '%.17g', as (value, got, expected),
     with the values laid out in rows of WIDTH columns."""
     values = np.asarray(values, dtype=np.float64)
     values = np.concatenate([values, np.zeros(-len(values) % WIDTH)])
     table = values.reshape(-1, WIDTH)
-    text = "".join(csv_rows(tuple(table.T.copy()), block_rows))
+    text = "".join(csv_rows(tuple(table.T.copy())))
     row = ",".join(["%.17g"] * WIDTH) + "\n"
     if text == row * len(table) % tuple(values.tolist()):
         return []
@@ -33,8 +34,7 @@ def mismatches(values, block_rows=512):
 def proven(values):
     """The share of cells the vectorized arithmetic formats itself."""
     values = np.asarray(values, dtype=np.float64)
-    block = _csvfloat._Block(4096, 1)
-    count = sum(np.count_nonzero(block._digits(values[lo:lo + 4096])[0])
+    count = sum(np.count_nonzero(_csvfloat._digits(values[lo:lo + 4096])[0])
                 for lo in range(0, len(values), 4096))
     return count / len(values)
 
@@ -131,10 +131,11 @@ def test_exact_ties_round_half_even():
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 512])
-def test_block_boundaries(block_rows):
+def test_block_boundaries(block_rows, monkeypatch):
+    monkeypatch.setattr(_csvfloat, "_BLOCK_ROWS", block_rows)
     scales = 10.0 ** np.arange(-6, 6).repeat(50)
     values = np.random.default_rng(5).standard_normal(scales.size) * scales
-    assert mismatches(values, block_rows) == []
+    assert mismatches(values) == []
 
 
 def test_tables_are_exact():
@@ -149,5 +150,25 @@ def test_tables_are_exact():
         assert above[field] >= bound > math.nextafter(above[field], 0.0)
 
 
+def test_memory_a_cell():
+    # the tracemalloc peak of formatting one chunk of six columns, the
+    # numbers of a trajectory with every tenth cell left to Python: 270
+    # bytes a cell with numpy 2.4, every temporary of the chunk and its
+    # text, which a larger chunk would only scale
+    rng = np.random.default_rng(8)
+    size = 6 * _csvfloat._BLOCK_ROWS
+    cells = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size)
+    cells[::10] = 1e300
+    columns = tuple(cells.reshape(6, -1))
+    next(csv_rows(columns))  # the tables are built on the first call
+    tracemalloc.start()
+    try:
+        next(csv_rows(columns))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cells.size < 320
+
+
 def test_no_rows():
-    assert list(csv_rows((np.empty(0), np.empty(0)), 512)) == []
+    assert list(csv_rows((np.empty(0), np.empty(0)))) == []

@@ -796,6 +796,19 @@ class TestOrbitIO:
                                            "float range")):
             load_orbit(path)
 
+    @pytest.mark.parametrize("field", ["S", "w", "T"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coefficient_names_the_field(self, tmp_path, field, value):
+        # json reads NaN and Infinity as floats
+        path = tmp_path / "orbit.json"
+        document = {"name": "d", "lambda": 0, "S": [0.0, 2.0], "w": [0.5], "T": [2.0]}
+        text = json.dumps(document).replace(f'"{field}": [', f'"{field}": [{value}, ')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(OrbitSchemaError,
+                           match=re.escape(f"{path}: field '{field}' holds a non-finite "
+                                           "number")):
+            load_orbit(path)
+
     def test_integer_too_long_to_read_names_the_file(self, tmp_path):
         # json.loads raises a plain ValueError for an integer of more than
         # sys.get_int_max_str_digits() digits (4300 by default); a Python

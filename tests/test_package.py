@@ -175,3 +175,27 @@ def test_set_up_compiles_no_recurrence():
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    # under the suite's own warning filters, the report of a failing
+    # hypothesis test names the falsifying example: the plugin's
+    # DeprecationWarning from its report hook is not turned into an
+    # INTERNALERROR
+    config = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n",
+        encoding="utf-8",
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert out.returncode == 1
+    assert "Falsifying example" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr

@@ -758,6 +758,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="samples"):
             integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
 
+    def test_endpoint_counts_against_the_cap(self):
+        # 999,999.5 intervals: 10**6 grid samples, then t_max
+        with pytest.raises(ValueError, match=f"the limit of {trajectory.MAX_SAMPLES} samples"):
+            trajectory._sample_times(2e5, 0.2000001)
+
+    @pytest.mark.parametrize("t_max, interval", [(249999.75, 0.25), (2e5, 2e5 / 999_999)])
+    def test_full_grid_ending_on_t_max_fits(self, t_max, interval):
+        times = trajectory._sample_times(t_max, interval)
+        assert times.size == trajectory.MAX_SAMPLES
+        assert times[-1] == t_max
+
     def test_horizon_is_bounded(self, monkeypatch):
         # 1,001 samples, within the sample limit, over a horizon that the
         # stepper would never finish: refused before any step, at any
