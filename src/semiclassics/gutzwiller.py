@@ -24,7 +24,10 @@ term costs one complex product: z_{k+1} = z_k e^{-w}, re-anchored by one
 exp at the start of every block of 8 terms, so each z_k is at most 7
 products from an exact exp.  The pole check |1 - z_k| < 1e-12 runs only
 in blocks where Re log z_k comes within 1e-6 of 0, and the tail's
-overflow stop is computed once.
+overflow stop is computed once.  The tail's exact stop test, which
+takes |total|, runs only once a term is below 2e-16 of the running sum
+of magnitudes, and where w / 2 is real it divides by math.sinh, with
+the bits of cmath.sinh.
 
 The poles z_k = 1 form a lattice of complex energies E_ks indexed by
 the instability quantum k and the action quantum s:
@@ -66,6 +69,8 @@ __all__ = [
 
 _POLE_EPS = 1e-12
 _TERM_CUTOFF = 1e-16
+# The tail's pre-test on the running sum of term magnitudes (exactly 2e-16).
+_LOOSE_CUTOFF = 2.0 * _TERM_CUTOFF
 # e-folds that take a term below _TERM_CUTOFF: ln(1e16) ~ 36.8.
 _CUTOFF_LOG = -math.log(_TERM_CUTOFF)
 _MAX_TERMS = 10 ** 4
@@ -227,7 +232,12 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
     as the head: ~2 sqrt(37 / Re w) in all on the real axis, instead of
     the ~37 / Re w of the k-sum alone.  The tail stops once a term falls
     below 1e-16 of the running sum, or at the n where sinh(n w / 2)
-    would overflow, found before the loop.
+    would overflow, found before the loop.  That test takes |total|
+    only for terms below 2e-16 of the sum of |total| after the head and
+    every |term| since, a bound on |total| that every stopping term
+    meets; where Im(w / 2) = 0, as at every real energy of an orbit
+    with real coefficients, 1 / sinh(n w / 2) is the real
+    1 / math.sinh(n Re w / 2), the same bits as the complex sinh.
 
     The leading head terms with Re log z_k > 700 are -1 to double
     precision and are counted, not summed.  The rest take z_k from
@@ -250,47 +260,73 @@ def response_function(ctx: SemiclassicalContext, orbit: OrbitModel, energy) -> c
     """
     E = complex(energy)
     S, w, T = eval_orbit(orbit, E)
-    if w.real <= 0.0:
+    w_re = w.real
+    if w_re <= 0.0:
         raise NonConvergent(
             f"instability exponent must have positive real part, got w = {w!r}"
         )
     phase = 1j * (S / ctx.hbar - orbit.lam * math.pi / 2.0)
+    phase_re = phase.real
     # |z_k| <= 1 from k = grow on.
-    grow = phase.real / w.real - 0.5
-    spread = math.sqrt(_CUTOFF_LOG / w.real)
+    grow = phase_re / w_re - 0.5
+    spread = math.sqrt(_CUTOFF_LOG / w_re)
     if not grow + spread < _MAX_TERMS:
         raise _too_many_terms(E, w)
     split = math.ceil(max(0.0, grow)) + math.ceil(spread)
     # Re log z_k falls with k, so the terms that are -1 to double
     # precision come first.
-    first = min(split, math.ceil(max(0.0, (phase.real - _EXP_HUGE) / w.real - 0.5)))
+    first = min(split, math.ceil(max(0.0, (phase_re - _EXP_HUGE) / w_re - 0.5)))
     head = complex(-first)
-    q = cmath.exp(-w)
+    exp = cmath.exp
+    q = exp(-w)
     for start in range(first, split, _BLOCK):
-        z = cmath.exp(phase - (start + 0.5) * w)
-        lead = phase.real - (start + 0.5) * w.real
-        near = lead > -_NEAR_UNIT and lead - (_BLOCK - 1) * w.real < _NEAR_UNIT
-        for k in range(start, min(start + _BLOCK, split)):
-            one_minus = 1.0 - z
-            if near and abs(one_minus) < _POLE_EPS:
-                raise PoleProximity(
-                    f"|1 - z_{k}| = {abs(one_minus):.3e} at E = {E!r}"
-                )
-            head += z / one_minus
-            z *= q
+        z = exp(phase - (start + 0.5) * w)
+        lead = phase_re - (start + 0.5) * w_re
+        end = start + _BLOCK if start + _BLOCK < split else split
+        if lead > -_NEAR_UNIT and lead - (_BLOCK - 1) * w_re < _NEAR_UNIT:
+            for k in range(start, end):
+                one_minus = 1.0 - z
+                if abs(one_minus) < _POLE_EPS:
+                    raise PoleProximity(
+                        f"|1 - z_{k}| = {abs(one_minus):.3e} at E = {E!r}"
+                    )
+                head += z / one_minus
+                z *= q
+        else:
+            for _ in range(start, end):
+                head += z / (1.0 - z)
+                z *= q
     total = 2.0 * head
-    ratio = cmath.exp(phase - split * w)
+    ratio = exp(phase - split * w)
     power = 1.0
     half_w = w / 2.0
     terms = _MAX_TERMS - split
     # The last n with n Re w / 2 <= _EXP_HUGE: past it sinh would
     # overflow, and |term| < 2 e^{-2 _EXP_HUGE} underflows (|z_K| <= e^{-Re w}).
-    stop = int(2.0 * _EXP_HUGE / w.real)
-    for n in range(1, min(terms, stop) + 1):
+    stop = int(2.0 * _EXP_HUGE / w_re)
+    if half_w.imag == 0.0:
+        # n w / 2 is (n Re w / 2, +0.0), where cmath.sinh is
+        # (sinh(n Re w / 2), +0.0) below its large-argument formula
+        # (n Re w / 2 <= _EXP_HUGE), and dividing by a float divides by
+        # (float, 0.0) on CPython 3.10 to 3.13: the same bits from one
+        # math.sinh.
+        sinh, half_w = math.sinh, half_w.real
+    else:
+        sinh = cmath.sinh
+    # The exact stop test runs only once |term| <= 2e-16 bound, with bound
+    # the running sum of |total| after the head and every |term| since:
+    # |total| <= bound (1 + 2 (n + 2) eps) in floating point for n <= 10**4
+    # terms, so every term that passes the exact test passes this one, a
+    # zero term with a zero bound too; an inf bound leaves the decision to
+    # the exact test, and a NaN term passes neither.
+    bound = abs(total)
+    for n in range(1, (terms if terms < stop else stop) + 1):
         power *= ratio
-        term = power / cmath.sinh(n * half_w)
+        term = power / sinh(n * half_w)
         total += term
-        if term == 0 or abs(term) < _TERM_CUTOFF * abs(total):
+        size = abs(term)
+        bound += size
+        if size <= _LOOSE_CUTOFF * bound and (not size or size < _TERM_CUTOFF * abs(total)):
             break
     else:
         if stop >= terms:
@@ -313,14 +349,16 @@ def sinh_expansion_error(x: float, n_kept: int) -> float:
         2 e^{-(2 n_kept + 3) x} / (1 - e^{-2x}),
 
     which this returns.  (Subtracting the partial sum from 1/sinh(x)
-    directly in double precision bottoms out near 1e-16/sinh(x); the
-    tail form stays exact down to the underflow threshold.)
+    directly in double precision bottoms out near 1e-16/sinh(x).  The
+    tail form, with 1 - e^{-2x} formed by expm1, keeps full relative
+    precision down to x = 1e-300 and below; 1 - exp(-2x) would lose
+    it for small x and be 0 below x ~ 5.6e-17.)
     """
     if not (isinstance(x, (int, float)) and x > 0):
         raise ValueError(f"expansion requires x > 0, got {_shown(x)}")
     _check_float("x", "x", x)
     _check_count("n_kept", n_kept)
-    return 2.0 * math.exp(-(2.0 * n_kept + 3.0) * x) / (1.0 - math.exp(-2.0 * x))
+    return 2.0 * math.exp(-(2.0 * n_kept + 3.0) * x) / -math.expm1(-2.0 * x)
 
 
 def pole_residual(

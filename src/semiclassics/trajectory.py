@@ -534,7 +534,7 @@ def _sample_times(t_max, interval):
     endpoint = t_max - last > 1e-12 * max(1.0, t_max)
     if n + 1 + endpoint > MAX_SAMPLES:
         raise ValueError(
-            f"t_max = {t_max:g} at sample interval {interval:g} needs more than "
+            f"t_max = {t_max!r} at sample interval {interval!r} needs more than "
             f"the limit of {MAX_SAMPLES} samples"
         )
     times = interval * np.arange(n + 1)
@@ -639,7 +639,7 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
     cfg, E, x0, p0 = _start(model, energy, x0, p0, cfg or IntegratorConfig(t_max=SAMPLED_T_MAX))
     times = _sample_times(cfg.t_max, cfg.sample_interval)
     if cfg.t_max > IntegratorConfig.t_max:
-        raise ValueError(f"t_max = {cfg.t_max:g} exceeds the limit of {IntegratorConfig.t_max:g}")
+        raise ValueError(f"t_max = {cfg.t_max!r} exceeds the limit of {IntegratorConfig.t_max!r}")
     x = np.empty(times.size, dtype=complex)
     p = np.empty_like(x)
     x[0], p[0] = x0, p0
@@ -809,8 +809,8 @@ def reversibility_error(
     if not (math.isfinite(t_total) and t_total >= 0):
         raise ValueError(f"t_total must be nonnegative, got {t_total!r}")
     if t_total > cfg.t_max:
-        raise ValueError(f"t_total = {t_total:g} exceeds the horizon; the limit is "
-                         f"t_max = {cfg.t_max:g}")
+        raise ValueError(f"t_total = {t_total!r} exceeds the horizon; the limit is "
+                         f"t_max = {cfg.t_max!r}")
 
     march = _stepper(model, E, cfg)
     x, p = x0, p0

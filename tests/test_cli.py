@@ -342,12 +342,18 @@ class TestTrajectory:
               "--x0", "re=0.1,im=0", "--t-max", "1"], "barrier top"),
             # a subnormal interval: the sample count overflows to inf
             (["--g", "0.1", "--t-max", "100", "--sample-interval", "1e-320"], "samples"),
-            # 10**6 grid samples and the endpoint t_max: one over the sample cap
+            # 10**6 grid samples and the endpoint t_max: one over the sample
+            # cap, at an interval the message must not round to 0.2
             (["--g", "0.1", "--t-max", "200000", "--sample-interval", "0.2000001"],
+             "t_max = 200000.0 at sample interval 0.2000001 needs more than "
              "the limit of 1000000 samples"),
             # 1,001 samples over a horizon beyond the default t_max, 2e5
             (["--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "1e15",
-              "--sample-interval", "1e12"], "t_max = 1e+15 exceeds the limit of 200000"),
+              "--sample-interval", "1e12"],
+             "t_max = 1000000000000000.0 exceeds the limit of 200000.0"),
+            # a horizon just past the limit reads as past it, not as 200000
+            (["--g", "0.1", "--t-max", "200000.4", "--sample-interval", "1"],
+             "t_max = 200000.4 exceeds the limit of 200000.0"),
         ],
     )
     def test_failed_run_writes_no_file(self, capsys, tmp_path, argv, reason):
@@ -715,6 +721,13 @@ class TestReversibility:
         assert out == ""
         assert "t_max = 200000" in err
         assert "Traceback" not in err
+
+    def test_duration_just_past_the_horizon_is_named_exactly(self, capsys):
+        code, out, err = run(capsys, "reversibility", "--g", "0.1", "--duration", "200000.4")
+        assert code == 1
+        assert out == ""
+        assert err.endswith(
+            "error: t_total = 200000.4 exceeds the horizon; the limit is t_max = 200000.0\n")
 
 
 # Every argv must be refused by the parser: exit 2, nothing on stdout.

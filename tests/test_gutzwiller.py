@@ -1,8 +1,11 @@
 import cmath
 import json
 import math
+import random
 import re
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +31,7 @@ from semiclassics import (
 )
 
 CTX = SemiclassicalContext()
+DEMO_ORBITS = Path(__file__).resolve().parent.parent / "demos" / "orbits"
 
 LINEAR = OrbitModel(
     name="linear", s_coeffs=(0.0, 2.0 * math.pi), w_coeffs=(0.5,),
@@ -167,6 +171,68 @@ def per_term_response(ctx, orbit, energy):
     else:
         raise gutzwiller._too_many_terms(E, w)
     return -1j * T / (2.0 * ctx.hbar) * total
+
+
+def frozen_response(ctx, orbit, energy):
+    """``response_function`` as it was before the tail's stop pre-test,
+    its real-axis divisor and the split head loop: the exact stop test on
+    every tail term, cmath.sinh everywhere and the pole check guarded per
+    term.  Those changes keep every floating-point operation on the values
+    returned, so this must give the same bits and raise the same errors."""
+    E = complex(energy)
+    S, w, T = eval_orbit(orbit, E)
+    if w.real <= 0.0:
+        raise NonConvergent(
+            f"instability exponent must have positive real part, got w = {w!r}"
+        )
+    phase = 1j * (S / ctx.hbar - orbit.lam * math.pi / 2.0)
+    grow = phase.real / w.real - 0.5
+    spread = math.sqrt(gutzwiller._CUTOFF_LOG / w.real)
+    if not grow + spread < gutzwiller._MAX_TERMS:
+        raise gutzwiller._too_many_terms(E, w)
+    split = math.ceil(max(0.0, grow)) + math.ceil(spread)
+    first = min(split, math.ceil(max(0.0, (phase.real - gutzwiller._EXP_HUGE) / w.real - 0.5)))
+    head = complex(-first)
+    q = cmath.exp(-w)
+    block, unit = gutzwiller._BLOCK, gutzwiller._NEAR_UNIT
+    for start in range(first, split, block):
+        z = cmath.exp(phase - (start + 0.5) * w)
+        lead = phase.real - (start + 0.5) * w.real
+        near = lead > -unit and lead - (block - 1) * w.real < unit
+        for k in range(start, min(start + block, split)):
+            one_minus = 1.0 - z
+            if near and abs(one_minus) < gutzwiller._POLE_EPS:
+                raise PoleProximity(
+                    f"|1 - z_{k}| = {abs(one_minus):.3e} at E = {E!r}"
+                )
+            head += z / one_minus
+            z *= q
+    total = 2.0 * head
+    ratio = cmath.exp(phase - split * w)
+    power = 1.0
+    half_w = w / 2.0
+    terms = gutzwiller._MAX_TERMS - split
+    stop = int(2.0 * gutzwiller._EXP_HUGE / w.real)
+    for n in range(1, min(terms, stop) + 1):
+        power *= ratio
+        term = power / cmath.sinh(n * half_w)
+        total += term
+        if term == 0 or abs(term) < gutzwiller._TERM_CUTOFF * abs(total):
+            break
+    else:
+        if stop >= terms:
+            raise gutzwiller._too_many_terms(E, w)
+    return -1j * T / (2.0 * ctx.hbar) * total
+
+
+def exactly(evaluate, ctx, orbit, energy):
+    """"value" and the value's parts as repr strings (signs of zeros and
+    NaN kept), or the exception's type and message."""
+    try:
+        value = evaluate(ctx, orbit, energy)
+    except (PoleProximity, NonConvergent) as exc:
+        return type(exc), str(exc)
+    return "value", repr(value.real), repr(value.imag)
 
 
 def outcome(evaluate, orbit, energy):
@@ -367,6 +433,34 @@ def quadratic_orbit(w0):
                       w_coeffs=(w0, 0.02 * w0), t_coeffs=(2.0 * math.pi, 0.2), lam=2)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the head's exp, the tail's complex and real sinh, and the
+    abs evaluations of the running sum ``total``."""
+    counts = {"exp": 0, "sinh": 0, "real_sinh": 0, "abs_total": 0}
+
+    def counted(name, function):
+        def call(z):
+            counts[name] += 1
+            return function(z)
+        return call
+
+    def counted_abs(value):
+        if sys._getframe(1).f_locals.get("total") is value:
+            counts["abs_total"] += 1
+        return abs(value)
+
+    complex_math = SimpleNamespace(**vars(cmath))
+    complex_math.exp = counted("exp", cmath.exp)
+    complex_math.sinh = counted("sinh", cmath.sinh)
+    real_math = SimpleNamespace(**vars(math))
+    real_math.sinh = counted("real_sinh", math.sinh)
+    monkeypatch.setattr(gutzwiller, "cmath", complex_math)
+    monkeypatch.setattr(gutzwiller, "math", real_math)
+    monkeypatch.setattr(gutzwiller, "abs", counted_abs, raising=False)
+    return counts
+
+
 class TestHeadTailSplit:
     """The k-sum as head plus tail: accuracy down to Re w = 1e-4, where the
     k-sum alone would need ~37 / Re w terms, poles and the term cap."""
@@ -441,22 +535,6 @@ class TestHeadTailSplit:
         ours = response_function(CTX, orbit, 0.3 + 0j)
         assert abs(ours - reference) <= 1e-13 * abs(reference)
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts of the head's exp and the tail's sinh evaluations."""
-        counts = {"exp": 0, "sinh": 0}
-
-        def counted(name):
-            def call(z):
-                counts[name] += 1
-                return getattr(cmath, name)(z)
-            return call
-
-        counting = SimpleNamespace(**vars(cmath))
-        counting.exp, counting.sinh = counted("exp"), counted("sinh")
-        monkeypatch.setattr(gutzwiller, "cmath", counting)
-        return counts
-
     def test_terms_scale_as_inverse_sqrt_w(self, calls):
         # ~2 sqrt(37 / Re w) = 1,214 terms; the k-sum alone needs ~37 / Re w.
         # The head's K = ceil(sqrt(37 / Re w)) = 607 terms take one exp per
@@ -467,7 +545,8 @@ class TestHeadTailSplit:
         head = math.ceil(math.sqrt(gutzwiller._CUTOFF_LOG / w0))
         response_function(CTX, linear_orbit(w0), 0.3 + 0j)
         assert calls["exp"] <= math.ceil(head / 8) + 2
-        assert calls["sinh"] <= math.ceil(gutzwiller._CUTOFF_LOG / (head * w0))
+        assert calls["real_sinh"] <= math.ceil(gutzwiller._CUTOFF_LOG / (head * w0))
+        assert calls["sinh"] == 0
 
     # Re w = 1e-10: sqrt(37 / Re w) ~ 6e5 head terms; E = 0.3 - 1000i:
     # |z_k| > 1 for the first ~12,600 k
@@ -476,12 +555,133 @@ class TestHeadTailSplit:
     def test_oversized_head_is_refused_before_summing(self, calls, orbit, energy):
         with pytest.raises(NonConvergent, match="10000 terms"):
             response_function(CTX, orbit, energy)
-        assert calls == {"exp": 0, "sinh": 0}
+        assert calls == {"exp": 0, "sinh": 0, "real_sinh": 0, "abs_total": 0}
 
     def test_overlong_tail_raises(self):
         # the head (~6,100 terms) fits the cap, head plus tail does not
         with pytest.raises(NonConvergent, match="10000 terms"):
             response_function(CTX, linear_orbit(1e-6), 0.3 + 0j)
+
+
+def corpus_orbit(rng, w0):
+    """A seeded orbit of either family, with lambda = 0 ... 3."""
+    s0 = rng.uniform(-0.05, 0.05)
+    s1 = 2.0 * math.pi * (1.0 + rng.uniform(-0.02, 0.02))
+    lam = rng.randrange(4)
+    if rng.random() < 0.5:
+        return OrbitModel(name="linear", s_coeffs=(s0, s1), w_coeffs=(w0,),
+                          t_coeffs=(s1,), lam=lam)
+    s2 = 0.1 * (1.0 + rng.uniform(-0.2, 0.2))
+    return OrbitModel(name="quadratic", s_coeffs=(s0, s1, s2), w_coeffs=(w0, 0.02 * w0),
+                      t_coeffs=(s1, 2.0 * s2), lam=lam)
+
+
+class TestFrozenKernel:
+    """``response_function`` against ``frozen_response``, == part by part:
+    the stop pre-test must stop at the same n, the real-axis math.sinh
+    must divide by the same bits, and the split head loop must raise the
+    same PoleProximity."""
+
+    # n Re w / 2 reaches 700 at n = 1000 for Re w = 1.4 and at n = 1 for
+    # Re w = 1400, so the overflow stop moves by one term across them
+    EDGES = [edge for w0 in (1.4, 1400.0) for edge in
+             (math.nextafter(w0, -math.inf), w0, math.nextafter(w0, math.inf))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_corpus(self, seed):
+        # Re w log-uniform over [1e-4, 1500] and the tail-stop edges; real
+        # energies with a +0.0 or -0.0 imaginary part, Im E down to -150
+        # and up to 0.3; hbar 1, 0.5, 2 and 1e-3
+        rng = random.Random(seed)
+        seen = Counter()
+        for i in range(2000):
+            if i % 10 == 0:
+                w0 = rng.choice(self.EDGES)
+            else:
+                w0 = 10.0 ** rng.uniform(-4.0, math.log10(1500.0))
+            orbit = corpus_orbit(rng, w0)
+            ctx = SemiclassicalContext(rng.choice((1.0, 0.5, 2.0, 1e-3)))
+            kind = rng.random()
+            if kind < 0.4:
+                im_e = rng.choice((0.0, -0.0))
+            elif kind < 0.9:
+                im_e = -150.0 * rng.random() ** 3
+            else:
+                im_e = rng.uniform(-0.3, 0.3)
+            energy = complex(rng.uniform(-3.0, 6.0), im_e)
+            ours = exactly(response_function, ctx, orbit, energy)
+            assert ours == exactly(frozen_response, ctx, orbit, energy), (orbit, ctx, energy)
+            seen[ours[0]] += 1
+        assert seen["value"] >= 1200 and seen[NonConvergent] >= 200
+
+    def test_near_poles(self):
+        # PoleProximity names the same k, and the values just outside the
+        # exclusion radius are the same
+        rng = random.Random(35)
+        seen = Counter()
+        for _ in range(60):
+            orbit = corpus_orbit(rng, 10.0 ** rng.uniform(-2.0, 1.0))
+            ctx = SemiclassicalContext(rng.choice((1.0, 0.5, 2.0)))
+            pole = find_pole(ctx, orbit, PoleIndex(rng.randrange(4), rng.randrange(4)))
+            for distance in (0.0, 1e-13, 3e-13, 1e-12, 1e-11, 1e-9, 1e-6):
+                energy = pole + distance * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                ours = exactly(response_function, ctx, orbit, energy)
+                assert ours == exactly(frozen_response, ctx, orbit, energy), (orbit, energy)
+                seen[ours[0]] += 1
+        assert seen[PoleProximity] >= 60 and seen["value"] >= 200
+
+    @pytest.mark.parametrize("w0", [1e-4, 1e-3, 0.01, 0.1, 0.5, 1.4, 5.0])
+    def test_aligned_phase(self, w0):
+        # S(E) - lam pi / 2 = 0 mod 2 pi and +-4 ulps: every term is nearly
+        # a positive real, so |total| comes closest to the running sum of
+        # magnitudes that the stop pre-test uses
+        for lam in range(4):
+            orbit = OrbitModel(name="linear", s_coeffs=(0.0, 2.0 * math.pi), w_coeffs=(w0,),
+                               t_coeffs=(2.0 * math.pi,), lam=lam)
+            for s in range(-2, 4):
+                aligned = lam / 4.0 + s
+                energies = [aligned]
+                for direction in (-math.inf, math.inf):
+                    e = aligned
+                    for _ in range(4):
+                        e = math.nextafter(e, direction)
+                        energies.append(e)
+                for e in energies:
+                    ours = exactly(response_function, CTX, orbit, complex(e, 0.0))
+                    assert ours == exactly(frozen_response, CTX, orbit, complex(e, 0.0)), e
+
+    def test_work_on_the_response_golden(self, calls):
+        # The 52 energies of tests/data/response_scan.csv each sum 8 tail
+        # terms.  The frozen kernel takes |total| for every one of them;
+        # here it is taken for the bound and then by one exact stop test
+        # (two at the quadratic orbit's E = 2.4).  Where w is real they
+        # divide by math.sinh: at the 50 real energies, and at 1 - 0.05i on
+        # the linear orbit, whose w is the constant 0.5; the quadratic
+        # orbit's w(1 - 0.05i) is complex, and takes cmath.sinh.
+        energies = [complex(x / 100, 0.0) for x in range(30, 271, 10)] + [1 - 0.05j]
+        work = Counter()
+        for name in ("linear_orbit", "quadratic_orbit"):
+            orbit = load_orbit(DEMO_ORBITS / f"{name}.json")
+            for energy in energies:
+                before = dict(calls)
+                response_function(CTX, orbit, energy)
+                work[tuple(calls[key] - before[key]
+                           for key in ("abs_total", "real_sinh", "sinh"))] += 1
+        assert work == Counter({(2, 8, 0): 50, (3, 8, 0): 1, (2, 0, 8): 1})
+
+    @pytest.mark.parametrize("hbar", [1.0, 1e-3])
+    @pytest.mark.parametrize("orbit", [LINEAR, QUADRATIC])
+    def test_hostile_energies(self, orbit, hbar):
+        # zero terms on a zero sum (everything underflows far above the
+        # axis), NaN and infinite parts, exponents past overflow
+        parts = [0.0, -0.0, 1.0, -1.0, 5e-324, 200.0, 1e8, 1e200, 1e308, -1e308,
+                 math.inf, -math.inf, math.nan]
+        ctx = SemiclassicalContext(hbar)
+        for re_e in parts:
+            for im_e in parts:
+                energy = complex(re_e, im_e)
+                ours = exactly(response_function, ctx, orbit, energy)
+                assert ours == exactly(frozen_response, ctx, orbit, energy), energy
 
 
 class TestSinhExpansionError:
@@ -515,6 +715,19 @@ class TestSinhExpansionError:
             assert sinh_expansion_error(x, n_kept) == pytest.approx(
                 float(expected), rel=1e-12
             )
+
+    def test_small_x_against_mpmath(self):
+        # 1 - e^{-2x} by subtraction is 0 below x ~ 5.6e-17 and 10% off at
+        # 1e-16; by expm1 the worst relative error here measures 1.12e-16
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for x in (1e-300, 1e-17, 1e-16, 1e-9, 1e-4):
+                for n_kept in (0, 1, 3, 10, 100):
+                    xm = mp.mpf(x)
+                    exact = 2 * mp.exp(-(2 * n_kept + 3) * xm) / -mp.expm1(-2 * xm)
+                    ours = sinh_expansion_error(x, n_kept)
+                    assert abs(ours - exact) <= 2.5e-16 * exact, (x, n_kept)
 
     def test_long_expansion_is_exact_to_double(self):
         assert sinh_expansion_error(1.0, 50) <= 1e-15
