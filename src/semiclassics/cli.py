@@ -423,6 +423,16 @@ def _build_parser() -> argparse.ArgumentParser:
     tolerances.add_argument("--abs-tol", type=_positive, default=IntegratorConfig.abs_tol,
                             help="absolute integration tolerance (default %(default)g)")
 
+    # trajectory takes the same flags, but its samples come from the closed
+    # form: no stepper reads them there
+    unused_tolerances = argparse.ArgumentParser(add_help=False)
+    unused = ("no effect here (default %(default)g): the samples come from the closed form; "
+              "it sets the Taylor stepper of crossing-time, table1 and reversibility")
+    unused_tolerances.add_argument("--rel-tol", type=_positive, default=IntegratorConfig.rel_tol,
+                                   help=unused)
+    unused_tolerances.add_argument("--abs-tol", type=_positive, default=IntegratorConfig.abs_tol,
+                                   help=unused)
+
     energy = argparse.ArgumentParser(add_help=False)
     energy.add_argument("--energy", type=_complex_or("corrected", "leading"),
                         default="corrected",
@@ -461,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_turning_points)
 
     p = sub.add_parser("trajectory",
-                       parents=[tolerances, _horizon(SAMPLED_T_MAX), energy, start, single_g],
+                       parents=[unused_tolerances, _horizon(SAMPLED_T_MAX), energy, start,
+                                single_g],
                        help="integrate and export a sampled trajectory as CSV")
     p.add_argument("--out", required=True, help="the CSV file to write")
     p.add_argument("--sample-interval", type=_positive, default=IntegratorConfig.sample_interval)

@@ -23,10 +23,14 @@ forms the series' constant terms once, when it is built; and, from one
 level of the first line of poles above real time, the number of rows of
 real time below it and the row on which that closed form predicts the
 orbit first reaches x3 (``_row_bracket``).  Those are lattice answers
-only: the horizon and a real period are the crossing search's own.
+only: the horizon and a real period are the crossing search's own.  The
+sampled trajectories read two more: the addition theorem, which moves a
+state of the closed form by the state of an offset (``_addition``), and
+the first pole on the real time axis (``_real_pole``).
 
-Positions and energies are plain Python complex numbers; all functions
-here are pure and safe to call concurrently.
+Positions and energies are plain Python complex numbers (the addition
+theorem also takes the caller's numpy arrays); all functions here are
+pure and safe to call concurrently.
 """
 
 import cmath
@@ -78,6 +82,12 @@ _DEGENERACY_THRESHOLD = 1e-8
 # A root's residual |V(x) - E| may be at most this fraction of the size
 # |E| + |x**2/2| + g |x|**3 of the terms that cancel in it.
 _RESIDUAL_TOL = 1e-12
+
+# A pole of an orbit lies on the real time axis when its imaginary part is
+# at most this fraction of |T| + |T'| (``_real_pole``): far above the
+# rounding of t0 + m T + n T' (about 1e-16 of its size, 2e-11 at the
+# horizon limit 2e5), and close enough that |x| exceeds 1e16 / g next to it.
+_POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -536,3 +546,87 @@ def _orbit(model: CubicModel, periods: tuple[complex, complex], t0: complex):
         return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g
 
     return at
+
+
+def _addition(model: CubicModel, tps: TurningPoints, at):
+    """The addition theorem (DLMF 23.10) for the orbit ``at`` (``_orbit``)
+    at the energy of ``tps``: add(x_u, p_u, x_v, p_v, z) -> (x, p).
+
+    (x_u, p_u) is the orbit's state at the time u from its pole, (x_v,
+    p_v) the state at v of the orbit on the same lattice with its pole
+    at 0, and z the time of ``at`` at which u + v lies.  They are numpy
+    arrays of at least one dimension (the caller's: this module imports
+    no numpy) that broadcast to the shape of z, and the result is the
+    orbit's state at z, by elementwise arithmetic.  With P = g x / 2 -
+    1/12, P' = g p / 2 (see ``_pole_time``) and the invariants g2 =
+    -4 (e1 e2 + e1 e3 + e2 e3), g3 = 4 e1 e2 e3 of the roots
+    e_j = g x_j / 2 - 1/12, formed here and nowhere else, the symmetric
+    form
+
+        P(u + v) = [(2 P_u P_v - g2/2)(P_u + P_v) - g3 - P'_u P'_v] / [2 (P_u - P_v)**2]
+
+    gives P, and its u-derivative, with P''_u = 6 P_u**2 - g2/2, gives
+    P'(u + v).  Both stay accurate next to a pole at v, where the chord
+    through (P_u, P'_u) and (P_v, P'_v) loses digits to P'_v's size.
+    Where |P_u - P_v| < 1e-3 max(|P_u|, |P_v|, 1) the quotient loses
+    digits to the small difference (u near +-v, or both near one
+    half-period), and the state comes from ``at(z)`` instead.
+    """
+    g = model.g
+    e1, e2, e3 = (0.5 * g * x - 1.0 / 12.0 for x in tps)
+    half_g2 = -2.0 * (e1 * e2 + e1 * e3 + e2 * e3)
+    g3 = 4.0 * e1 * e2 * e3
+
+    def add(x_u, p_u, x_v, p_v, z):
+        a, da = 0.5 * g * x_u - 1.0 / 12.0, 0.5 * g * p_u
+        b, db = 0.5 * g * x_v - 1.0 / 12.0, 0.5 * g * p_v
+        d = a - b
+        s = 2.0 * a * b - half_g2
+        den = 2.0 * d * d
+        wp = (s * (a + b) - g3 - da * db) / den
+        dwp = ((2.0 * b * (a + b) + s) * da - (6.0 * a * a - half_g2) * db
+               - 4.0 * d * da * wp) / den
+        x = 2.0 * wp / g + 1.0 / (6.0 * g)
+        p = 2.0 * dwp / g
+        gap = abs(d)
+        close = (gap < 1e-3 * abs(a)) | (gap < 1e-3 * abs(b)) | (gap < 1e-3)
+        for i in zip(*close.nonzero()):
+            x[i], p[i] = at(z[i])
+        return x, p
+
+    return add
+
+
+def _real_pole(periods: tuple[complex, complex], t0: complex, t_max: float) -> float | None:
+    """The first real time in [0, t_max] at which the orbit with a pole at
+    t0 has one, or None.
+
+    The poles are t0 + m T + n T', and one lies on the real axis when
+    its imaginary part is at most tol = _POLE_TOL (|T| + |T'|).  On line
+    n, the poles t0 + n T' + m T, that holds for the whole m in an
+    interval [lo, hi] (every m, or none, when Im T == 0.0 exactly, as for
+    every real energy below the barrier top or below 0), and Re T > 0
+    (see ``_periods``) makes the first of them in real time the smallest
+    m at or past both lo and -Re(t0 + n T') / Re T.  Only the lines whose
+    b coordinate (``_lattice_b``) lies between those of real times 0 and
+    t_max, and one more on each side, come within tol of [0, t_max].
+    """
+    T, T_prime = periods
+    tol = _POLE_TOL * (abs(T) + abs(T_prime))
+    ends = (_lattice_b(periods, -t0), _lattice_b(periods, t_max - t0))
+    first = None
+    for n in range(math.floor(min(ends)) - 1, math.ceil(max(ends)) + 2):
+        base = t0 + n * T_prime
+        if T.imag:
+            lo, hi = sorted(((-tol - base.imag) / T.imag, (tol - base.imag) / T.imag))
+        elif abs(base.imag) <= tol:
+            lo, hi = -math.inf, math.inf
+        else:
+            continue
+        m = max(lo, -base.real / T.real)
+        if m <= (t_max - base.real) / T.real:  # finite, so m is too
+            m = math.ceil(m)
+            t = (base + m * T).real
+            if m <= hi and t <= t_max and (first is None or t < first):
+                first = max(t, 0.0)  # a pole at the start may round below it
+    return first

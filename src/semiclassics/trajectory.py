@@ -26,18 +26,24 @@ the radius estimate and the step length, and the state at the step end
 by Horner's rule, with the exponents and e**2 written in as constants;
 the only builtin it calls is ``abs``.  One march (``_stepper``) is the
 only loop over those calls: it adds the underflow and drift checks and
-lands the last step exactly on the end time, and the sampling, the round
-trips and the crossing search's row marches all walk it.  At order 15
-the call is 234 binary operations, nearly all complex multiplications
-and additions, and a step costs 7 to 9 us (CPython 3.11.7, x86-64,
-depending on the host's load).
+lands the last step exactly on the end time, and the round trips and the
+crossing search's row marches walk it.  At order 15 the call is 234
+binary operations, nearly all complex multiplications and additions,
+and a step costs 7 to 9 us (CPython 3.11.7, x86-64, depending on the
+host's load).
 
-Each step's polynomial is its own dense output: the samples of
-``integrate`` are evaluated on it, a block of samples at a time, by one
-numpy Horner pass in the operation order of the scalar evaluation (so
-bit-identical to it), and a crossing search tests Re x over the whole
-step polynomial, not only at the step ends, so an excursion past the
-target inside one step is not missed.  That search needs no LAPACK and
+The samples of ``integrate`` take no step.  The orbit is known in closed
+form (see below), so every sample comes from it: one evaluation of
+``cubic._orbit`` every _ANCHOR_SPACING samples, the addition theorem
+(``cubic._addition``) for the samples between, one numpy pass per block
+of them, and a refusal, naming its time, of a horizon that reaches a
+pole on the real axis.  The samples are exact to the closed form's own
+rounding: within 1e-13 of max(|x|, |p|, 1) at the benchmark's couplings,
+5.7e-11 just below the barrier top.
+
+A crossing search tests Re x over the whole step polynomial, not only
+at the step ends, so an excursion past the target inside one step is
+not missed.  That search needs no LAPACK and
 has three tiers (``_first_reach``): a whole-step bound, compiled per
 order like the step, skips most steps; a quadratic majorant of the
 rest, with a rounding margin that makes it exact, skips most of what
@@ -47,11 +53,11 @@ halving narrows the windows the hull cannot settle, and bracketed
 Newton steps refine the first root once a window provably holds
 exactly one.  Of table1's 296 steps the bound passes 18, the majorant
 7, and 4 of those hold a root.  numpy is imported only where the
-samples' arrays are built, so a crossing search never loads it.  The energy drift
-|H - E| is the quality diagnostic: it is checked at every step end and
-at every emitted sample.  The stepper holds only the current state and
-the sampling one block of samples and their steps, so memory beyond the
-output arrays does not grow with the horizon.
+samples' arrays are built, so a crossing search never loads it.  The
+energy drift |H - E| is the quality diagnostic: it is checked at every
+step end and at every emitted sample.  The stepper holds only the
+current state and the sampling one block of samples, so memory beyond
+the output arrays does not grow with the horizon.
 
 The crossing time is not marched to.  Every orbit is an elliptic
 function of complex time (DLMF 23) with a period T of tiny imaginary
@@ -79,14 +85,14 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cubic import _check_position, _orbit, _periods, _pole_time, _row_bracket, turning_points
+from .cubic import (_addition, _check_position, _orbit, _periods, _pole_time, _real_pole,
+                    _row_bracket, turning_points)
 from .errors import EnergyDriftExceeded, NoCrossing, StepSizeUnderflow
 
 if TYPE_CHECKING:  # numpy is imported where arrays are built
@@ -130,11 +136,15 @@ MAX_SAMPLES = 10**6
 # interval, beyond MAX_SAMPLES.
 SAMPLED_T_MAX = 100.0
 
-# Samples are evaluated in blocks of this many: one numpy Horner pass per
-# block over the polynomials of the steps that hold its samples.  At 1024
-# numpy's per-call cost is spread thin, and a block's buffers take about
-# 0.2 MB at order 15 whatever the horizon.
+# Samples are evaluated in blocks of this many: one vectorized addition
+# per block.  At 1024 numpy's per-call cost is spread thin, and a block's
+# buffers take a few tens of kB whatever the horizon.
 _BLOCK = 1024
+
+# Every this many samples one is evaluated by the closed form's series
+# (``cubic._orbit``), and the samples between are reached from it by the
+# addition theorem: a divisor of _BLOCK.
+_ANCHOR_SPACING = 64
 
 # The root search stops halving a window of s = tau / h in [0, 1] below
 # this width, a few units in the last place of s = 1: the Bernstein
@@ -544,78 +554,71 @@ def _sample_times(t_max, interval):
     return times
 
 
-def _horner(block, times):
-    """x and p at ``times`` from the buffered steps ``block``: (t, count,
-    xs) for each step, in order, holding the next ``count`` samples.
+def _closed_form(model, energy, x0, p0, cfg, times, x, p):
+    """Fill x and p at ``times`` (``_sample_times``) from the closed form of
+    the orbit through (x0, p0) at energy E.
 
-    ``_at`` runs on the rows of all samples' coefficients at once, so
-    each sample is bit-identical to ``_at(xs, time - t)``.  The rows come
-    from one ``np.fromiter`` over the steps' chained coefficient lists.
-    tau is made complex once: each product with a complex row would cast
-    it again, to the same tau + 0j.
+    Sample i = k M + m, m < M = _ANCHOR_SPACING, is the anchor k M, a
+    sample evaluated by ``cubic._orbit``, advanced by the offset m dt
+    (dt the sample interval) by the addition theorem (``cubic._addition``):
+    at k M dt + m dt, which is i dt but for the rounding of the sum.
+    The offsets' states come once, from the orbit on the same lattice
+    with its pole at 0, and each block of _BLOCK samples is one
+    vectorized addition.  The grid's last sample, when it is clipped to
+    t_max, and the endpoint t_max after the grid are evaluated directly.
     """
     import numpy as np
 
-    starts, counts, coefs = zip(*block)
-    owner = np.repeat(np.arange(len(block)), counts)
-    tau = (times - np.array(starts)[owner]).astype(complex)
-    width = len(coefs[0])
-    table = np.fromiter(itertools.chain.from_iterable(coefs), complex, len(coefs) * width)
-    return _at(table.reshape(-1, width).T[:, owner], tau)
-
-
-def _dense_output(steps, times, x, p):
-    """Fill x[1:] and p[1:] from the step polynomials of the march
-    ``steps``: sample i lies on the first step (t, h, xs, ...) with
-    times[i] - t <= h, at tau = times[i] - t.
-
-    The samples go in blocks of _BLOCK.  Each step takes the block's
-    next samples by a forward scan while times[i] - t <= h, which costs
-    one comparison per sample plus one per step; a bisection per step
-    costs more here, where a step holds about eight samples (the four
-    trajectories of a seed-11 trajectory_export pass took 6.7 ms with
-    bisection and 5.6 ms with the scan, CPython 3.11.7, x86-64).  A block
-    is evaluated as soon as its last sample is matched; the last step ends
-    at t_max >= times[-1], so every block is.  The buffer thus holds at
-    most one step per sample of a block.
-    """
-    lo = 1
-    window = times[lo:lo + _BLOCK].tolist()
-    n = len(window)
-    block = []
-    i = 0  # the first sample of the window not yet matched to a step
-    for t, h, xs, _x, _p in steps:
-        while n:
-            j = i
-            while j < n and window[j] - t <= h:
-                j += 1
-            if j > i:
-                block.append((t, j - i, xs))
-                i = j
-            if j < n:
-                break
-            hi = lo + j
-            x[lo:hi], p[lo:hi] = _horner(block, times[lo:hi])
-            lo, window, block, i = hi, times[hi:hi + _BLOCK].tolist(), [], 0
-            n = len(window)
+    tps = turning_points(model, energy)
+    periods = _periods(model, tps)
+    t0 = _pole_time(model, tps, x0, p0)
+    pole = _real_pole(periods, t0, cfg.t_max)
+    if pole is not None:
+        raise ValueError(f"the orbit reaches a pole at t = {pole!r}, within t_max = "
+                         f"{cfg.t_max!r}: x and p are infinite there")
+    at = _orbit(model, periods, t0)
+    add = _addition(model, tps, at)
+    dt = cfg.sample_interval
+    width = min(_ANCHOR_SPACING, times.size) - 1
+    offsets = dt * np.arange(1, width + 1)
+    at_offset = _orbit(model, periods, 0j)
+    x_v, p_v = np.array([at_offset(v) for v in offsets.tolist()], complex).reshape(width, 2).T
+    for lo in range(0, times.size, _BLOCK):
+        hi = min(lo + _BLOCK, times.size)
+        starts = times[lo:hi:_ANCHOR_SPACING]
+        x_u, p_u = np.array([at(t) for t in starts.tolist()]).T
+        xs, ps = add(x_u[:, None], p_u[:, None], x_v, p_v, starts[:, None] + offsets)
+        x[lo:hi] = np.column_stack([x_u, xs]).ravel()[:hi - lo]
+        p[lo:hi] = np.column_stack([p_u, ps]).ravel()[:hi - lo]
+    for i in range(max(1, times.size - 2), times.size):
+        if times[i] != dt * i:
+            x[i], p[i] = at(times[i])
 
 
 def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate the trajectory and sample it at a fixed interval.
+    """Sample the trajectory at a fixed interval, from its closed form.
+
+    A cubic orbit is an elliptic function of complex time, sampled by
+    ``_closed_form``; the harmonic one is x0 cos t + p0 sin t.  A real
+    start at a real energy keeps exactly zero imaginary parts.  No
+    stepper runs, so the config's tolerances are not read.
 
     Parameters
     ----------
     model : CubicModel or HarmonicModel
-        Supplies the coupling g of the stepper's recurrence and the
-        potential of the drift check.
+        Supplies the coupling g of the closed form and the potential of
+        the drift check.
     energy : complex
-        The conserved value of H; used only as the drift reference.
+        The conserved value of H: the energy of the closed form and the
+        drift reference.
     x0, p0 : complex
         Initial phase-space point.  Must satisfy H(x0, p0) = E to
-        1e-10 relative; ``initial_momentum`` builds a consistent p0.
+        1e-10 relative; ``initial_momentum`` builds a consistent p0.  The
+        sample at t = 0 is (x0, p0) itself; the others see p0 only
+        through its branch.
     cfg : IntegratorConfig, optional
-        Tolerances, horizon t_max and sample interval; without one, the
-        defaults with t_max = SAMPLED_T_MAX (100).
+        Horizon t_max and sample interval; without one, the defaults
+        with t_max = SAMPLED_T_MAX (100).
 
     Returns
     -------
@@ -626,13 +629,17 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
 
     Raises
     ------
+    ValueError
+        If the horizon reaches a pole of the orbit on the real time axis,
+        where x and p are infinite (g = 0.1, E = 1 from rest at x3: the
+        pole at t = 3.4888595433475893); the message names its time.
+    CoincidentRoots
+        If E is at or next to the bottom of the well or the barrier top,
+        where the orbit has no period lattice.
     EnergyDriftExceeded
-        If |H - E| grows beyond 1e-6 * max(1, |E|) at a step end or a
-        sample, as it does on the way into a finite-time blow-up of the
-        cubic flow (g = 0.1, E = 1 from rest at x3: 1.2e-6 at t = 3.01,
-        short of the pole at t = 3.489).
-    StepSizeUnderflow
-        If the step no longer advances time.
+        If |H - E| of a sample exceeds 1e-6 * max(1, |E|), as it does
+        where the rounding of the samples is amplified next to a pole
+        just off the real axis.
     """
     import numpy as np
 
@@ -642,8 +649,16 @@ def integrate(model, energy, x0, p0, cfg: IntegratorConfig | None = None) -> Tra
         raise ValueError(f"t_max = {cfg.t_max!r} exceeds the limit of {IntegratorConfig.t_max!r}")
     x = np.empty(times.size, dtype=complex)
     p = np.empty_like(x)
+    if model.g:
+        _closed_form(model, E, x0, p0, cfg, times, x, p)
+    else:
+        for lo in range(0, times.size, _BLOCK):
+            cos, sin = np.cos(times[lo:lo + _BLOCK]), np.sin(times[lo:lo + _BLOCK])
+            x[lo:lo + _BLOCK] = x0 * cos + p0 * sin
+            p[lo:lo + _BLOCK] = p0 * cos - x0 * sin
+    if E.imag == x0.imag == p0.imag == 0.0:
+        x.imag = p.imag = 0.0
     x[0], p[0] = x0, p0
-    _dense_output(_stepper(model, E, cfg)(x0, p0, cfg.t_max), times, x, p)
     drift = np.empty(times.size)  # by blocks: no full-length temporaries
     for lo in range(0, times.size, _BLOCK):
         hi = lo + _BLOCK
@@ -765,7 +780,7 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
     target = tps.x3.real
     if x0.real >= target:
         return 0.0
-    missed = f"Re x never reached Re x3 = {target:.6g}"
+    missed = f"Re x never reached Re x3 = {target!r}"
     if all(z.imag == 0.0 for z in (E, x0, p0, *tps)):
         raise NoCrossing(f"{missed}: a real start at a real energy below the barrier top "
                          "stays between x1 and x2")
@@ -790,7 +805,7 @@ def crossing_time(model, energy, x0, p0, cfg: IntegratorConfig | None = None) ->
         if n >= rows and rows * T.real < cfg.t_max:
             raise NoCrossing(f"{missed} on the {rows} rows below the first line of poles")
     if n >= rows or n * T.real + reach(n) > cfg.t_max:
-        raise NoCrossing(f"{missed} within t_max = {cfg.t_max:g}")
+        raise NoCrossing(f"{missed} within t_max = {cfg.t_max!r}")
     return n * T.real + reach(n)
 
 

@@ -276,13 +276,19 @@ class TestTrajectory:
     # the arguments of tests/data/trajectory.csv
     GOLDEN_ARGS = ["trajectory", "--g", "0.14311", "--t-max", "10"]
 
-    def test_golden_csv(self, capsys, tmp_path):
-        # every sample is evaluated on a step polynomial from the end state
-        # of the step before: byte for byte against tests/data/trajectory.csv
+    @pytest.mark.parametrize("name, argv", [
+        ("trajectory.csv", GOLDEN_ARGS),
+        # a real orbit: its imaginary columns are exactly zero
+        ("trajectory_real.csv",
+         ["trajectory", "--g", "0.1", "--energy", "re=0.3,im=0", "--t-max", "10"]),
+    ])
+    def test_golden_csv(self, capsys, tmp_path, name, argv):
+        # every sample from the closed form, byte for byte against the
+        # file under tests/data
         out_path = tmp_path / "traj.csv"
-        code, _, _ = run(capsys, *self.GOLDEN_ARGS, "--out", str(out_path))
+        code, _, _ = run(capsys, *argv, "--out", str(out_path))
         assert code == 0
-        assert out_path.read_bytes() == (DATA / "trajectory.csv").read_bytes()
+        assert out_path.read_bytes() == (DATA / name).read_bytes()
 
     @staticmethod
     def percent_writer(columns):
@@ -363,6 +369,19 @@ class TestTrajectory:
         assert reason in err
         assert not out_path.exists()
 
+    def test_tolerances_leave_the_samples_alone(self, capsys, tmp_path):
+        # the samples come from the closed form: --rel-tol 1e-4, at which
+        # the stepper's drift guard once failed this run (1.423e-06), and
+        # --abs-tol write the bytes of the default run
+        argv = ["trajectory", "--g", "0.143", "--t-max", "30"]
+        files = []
+        for flags in ([], ["--rel-tol", "1e-4"], ["--rel-tol", "1e-13", "--abs-tol", "1e-3"]):
+            out_path = tmp_path / f"traj{len(files)}.csv"
+            code, _, _ = run(capsys, *argv, *flags, "--out", str(out_path))
+            assert code == 0
+            files.append(out_path.read_bytes())
+        assert files[1] == files[0] and files[2] == files[0]
+
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "trajectory", "--g", "0.1", "--energy", "re=0.3,im=0"
@@ -411,6 +430,13 @@ class TestCrossingTime:
         )
         assert code == 1
         assert "never reached" in err
+
+    def test_no_crossing_names_the_horizon_as_given(self, capsys):
+        # Re x3 and t_max by repr: not "Re x3 = 3.71633 within t_max = 1000"
+        code, _, err = run(capsys, "crossing-time", "--g", "0.12522", "--t-max", "1000.00001")
+        assert code == 1
+        assert err.endswith("error: Re x never reached Re x3 = 3.7163253809903387 "
+                            "within t_max = 1000.00001\n")
 
     def test_matches_library_default_policies(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -169,6 +170,45 @@ def jacobi_crossing(g, energy, t_c, eps=1e-6):
         return float(b)
 
 
+def worst_sample_error(traj, g, energy, count=41):
+    """The largest error of ``count`` evenly spaced samples of a run from
+    rest at x1 against JacobiOrbit, relative to max(|x|, |p|, 1)."""
+    orbit = jacobi_orbit(g, energy)
+    worst = 0.0
+    for i in np.unique(np.linspace(0, len(traj) - 1, count).round().astype(int)).tolist():
+        x, p = orbit.state(complex(traj.t[i]))
+        error = max(abs(traj.x[i] - x), abs(traj.p[i] - p))
+        worst = max(worst, error / max(abs(x), abs(p), 1.0))
+    return worst
+
+
+def chord_addition(form):
+    """``cubic._addition`` with P(u + v) (form "P") or P'(u + v) (form
+    "P'") from the chord through (P_u, P'_u) and (P_v, P'_v), of slope
+    l = (P'_u - P'_v) / (P_u - P_v): P(u + v) = l**2/4 - P_u - P_v and
+    P'(u + v) = -P'_u - l (P(u + v) - P_u), with P = g x / 2 - 1/12 and
+    P' = g p / 2.  These are the forms a simplification could bring back,
+    which the sample bound must catch."""
+
+    def build(model, tps, at):
+        add = cubic._addition(model, tps, at)
+        g = model.g
+
+        def chord(x_u, p_u, x_v, p_v, z):
+            x, p = add(x_u, p_u, x_v, p_v, z)
+            a, da = 0.5 * g * x_u - 1.0 / 12.0, 0.5 * g * p_u
+            b, db = 0.5 * g * x_v - 1.0 / 12.0, 0.5 * g * p_v
+            slope = (da - db) / (a - b)
+            if form == "P":
+                return 2.0 * (0.25 * slope * slope - a - b) / g + 1.0 / (6.0 * g), p
+            wp = 0.5 * g * x - 1.0 / 12.0
+            return x, 2.0 * (-da - slope * (wp - a)) / g
+
+        return chord
+
+    return build
+
+
 def march_steps(model, energy, x, p, t_end, cfg):
     """The package's march from (x, p) at t = 0 through t_end, built by
     ``trajectory._stepper``: (t, h, xs, x, p) for each step."""
@@ -197,21 +237,6 @@ def march_crossing_time(model, energy, x0, p0, t_max=2e5):
         if tau is not None:
             return t + tau
     return None
-
-
-def per_sample_dense_output(model, energy, x0, p0, cfg):
-    """x and p of every sample by the per-sample loop: sample i on the
-    first step with times[i] - t <= h, evaluated there by _at."""
-    grid = trajectory._sample_times(cfg.t_max, cfg.sample_interval).tolist()
-    x = np.empty(len(grid), dtype=complex)
-    p = np.empty_like(x)
-    x[0], p[0] = x0, p0
-    i = 1
-    for t, h, xs, _x, _p in march_steps(model, energy, x0, p0, cfg.t_max, cfg):
-        while i < len(grid) and grid[i] - t <= h:
-            x[i], p[i] = trajectory._at(xs, grid[i] - t)
-            i += 1
-    return x, p
 
 
 def tabulated_recurrence(order):
@@ -310,8 +335,9 @@ def default_start(g):
 
 def count_steps(monkeypatch):
     """Count the Taylor steps that every later march yields (a step that
-    raises is not counted): the sampling, the round trips and the row
-    marches all walk the march of ``trajectory._stepper``."""
+    raises is not counted): the round trips and the row marches walk the
+    march of ``trajectory._stepper``; the samples of ``integrate`` take
+    none."""
     counter = [0]
     stepper = trajectory._stepper
 
@@ -788,23 +814,6 @@ class TestIntegrate:
             integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j, cfg)
         assert len(str(info.value)) <= 120
 
-    @pytest.mark.parametrize(
-        "t_max, interval",
-        [
-            (200.0, 0.05),  # 4,001 samples: four blocks of 1,024
-            (123.456, 0.07),  # t_max off the grid: an extra final sample
-            (400.0, 7.3),  # most steps hold no sample
-            (3.0, 1e-4),  # one step holds thousands, across blocks
-        ],
-    )
-    def test_dense_output_matches_per_sample_loop(self, t_max, interval):
-        model, energy, x1 = default_start(0.1433)
-        cfg = IntegratorConfig(t_max=t_max, sample_interval=interval)
-        traj = integrate(model, energy, x1, 0j, cfg)
-        x, p = per_sample_dense_output(model, energy, x1, 0j, cfg)
-        assert traj.x.tobytes() == x.tobytes()
-        assert traj.p.tobytes() == p.tobytes()
-
     def test_extra_memory_is_flat_in_the_horizon(self):
         # Beyond its output arrays, integrate holds one block of samples:
         # ten times the horizon may not raise the rest of the peak.
@@ -856,49 +865,108 @@ class TestIntegrate:
         assert traj.max_energy_drift <= 1e-8
 
     def test_blowup_trips_drift_guard(self):
-        # Past the barrier the complex cubic flow reaches a finite-time
-        # singularity; by t ~ 70 the drift is far beyond the 1e-6 limit.
+        # Past the barrier the complex orbit passes close to a pole near
+        # t ~ 68.6, where |p| is large enough that the rounding of the
+        # samples puts |H - E| (1.461e-04 here) far beyond the 1e-6 limit.
         g = 2.0 / math.sqrt(125.0)
         state = corrected_quasi_bound_energy(g)
         model = CubicModel(g)
         x1 = turning_points(model, state.energy).x1
-        with pytest.raises(EnergyDriftExceeded):
+        with pytest.raises(EnergyDriftExceeded, match=r"^\|H - E\| reached 1\.\d{3}e-04 "):
             integrate(model, state.energy, x1, 0j, IntegratorConfig(t_max=70.0))
 
-    @pytest.mark.parametrize("rel_tol, drift", [(1e-10, "1.202e-06"), (1e-13, "1.818e-06")])
-    def test_blowup_from_x3_trips_the_drift_guard_first(self, rel_tol, drift):
-        # the real orbit from rest at x3 runs off to +infinity in finite
-        # time; the drift guard stops it before the step size underflows
+    def test_pole_on_the_real_axis_is_refused(self, monkeypatch):
+        # the real orbit from rest at x3 runs off to +infinity at the pole
+        # T/2 = 3.48885...; a horizon that reaches it is refused, with the
+        # pole's time, before any sample is evaluated, and one short of it
+        # is sampled
+        calls = {"_orbit": 0}
+        monkeypatch.setattr(trajectory, "_orbit",
+                            call_counter(calls, "_orbit", trajectory._orbit))
         model = CubicModel(0.1)
-        x3 = turning_points(model, 1.0 + 0j).x3
-        with pytest.raises(EnergyDriftExceeded,
-                           match=rf"^\|H - E\| reached {drift} \(limit 1\.000e-06\)$"):
-            integrate(model, 1.0 + 0j, x3, 0j, IntegratorConfig(rel_tol=rel_tol, t_max=10.0))
+        tps = turning_points(model, 1.0 + 0j)
+        for t_max in (3.49, 10.0, 2e5):
+            cfg = IntegratorConfig(t_max=t_max, sample_interval=max(0.05, t_max / 1000))
+            with pytest.raises(ValueError, match=r"^the orbit reaches a pole at t = "
+                               rf"3\.4888595433475893, within t_max = {t_max!r}: "):
+                integrate(model, 1.0 + 0j, tps.x3, 0j, cfg)
+        assert calls["_orbit"] == 0
+        T = _periods(model, tps)[0]
+        assert T.imag == 0.0 and 0.5 * T.real == pytest.approx(3.4888595433475893, rel=1e-15)
+        traj = integrate(model, 1.0 + 0j, tps.x3, 0j, IntegratorConfig(t_max=3.0))
+        assert traj.max_energy_drift <= 1e-8
 
-    def test_blowup_from_x3_underflows_without_the_drift_guard(self, monkeypatch):
-        # with no drift limit the same run goes on to the pole, where the
-        # step (1.9e-17 at |x| ~ 1.9e32) no longer advances time
+    @pytest.mark.parametrize("energy, x0", [(1.0 + 0j, "x3"), (2.5 + 0j, "x1")],
+                             ids=["from x3", "above the barrier top"])
+    def test_refused_pole_is_where_the_march_underflows(self, monkeypatch, energy, x0):
+        # with no drift limit the march runs on to the pole, where the step
+        # no longer advances time: at the time the refusal names, to the
+        # march's own error (4.0e-12 and 1.9e-12 relative).
+        # Above the barrier top the pole lies on the real axis through
+        # 2 T - T', a lattice vector neither period is parallel to.
         monkeypatch.setattr(trajectory, "DRIFT_FAILURE_LIMIT", math.inf)
-        steps = count_steps(monkeypatch)
         model = CubicModel(0.1)
-        x3 = turning_points(model, 1.0 + 0j).x3
-        with pytest.raises(StepSizeUnderflow, match=r"at t = 3\.48885\d* no longer advances time$"):
-            integrate(model, 1.0 + 0j, x3, 0j, IntegratorConfig(t_max=10.0))
-        assert steps[0] == 109
+        start = getattr(turning_points(model, energy), x0)
+        with pytest.raises(ValueError, match="reaches a pole") as refused:
+            integrate(model, energy, start, 0j, IntegratorConfig(t_max=10.0))
+        pole = float(re.search(r"t = (\S+),", str(refused.value))[1])
+        with pytest.raises(StepSizeUnderflow) as underflow:
+            for _ in march_steps(model, energy, start, 0j, 10.0, IntegratorConfig()):
+                pass
+        marched = float(re.search(r"at t = (\S+) no longer", str(underflow.value))[1])
+        assert marched == pytest.approx(pole, rel=1e-11)
 
+    @pytest.mark.parametrize("g, energy, offset", [
+        (0.14311, None, 0j), (0.14311, None, 0.05j), (0.2, 0.3 + 0.1j, 0j),
+        (0.2, 0.3 + 0.1j, 0.05j), (0.1, 0.3 + 0j, 0j), (0.1, 0.3 + 0j, 0.05j),
+        (0.1, -1.0 + 0j, 0j), (0.1, -1.0 + 0j, 0.05j), (0.1, 3.25 + 0j, 0.05j)])
+    def test_no_pole_on_the_real_axis_unless_the_orbit_escapes(self, g, energy, offset):
+        # at complex energies from x1 and above it, from x1 in the well and
+        # below 0, and above x1 at real energies (above the barrier top too,
+        # where the real start escapes), no pole lies on the real axis
+        model = CubicModel(g)
+        energy = energy or corrected_quasi_bound_energy(g).energy
+        tps = turning_points(model, energy)
+        x0 = tps.x1 + offset
+        p0 = initial_momentum(model, energy, x0) if offset else 0j
+        periods = _periods(model, tps)
+        assert cubic._real_pole(periods, _pole_time(model, tps, x0, p0), 2e5) is None
+
+    def test_real_start_keeps_zero_imaginary_parts(self):
+        # a real start at a real energy stays real: every imaginary part is
+        # +0.0, on the cubic's closed form and the harmonic one alike
+        model = CubicModel(0.1)
+        x1 = turning_points(model, 0.3 + 0j).x1
+        runs = [integrate(model, 0.3 + 0j, x1, 0j, IntegratorConfig(t_max=100.0)),
+                integrate(HarmonicModel(), 0.5 + 0j, 1.0 + 0j, 0j)]
+        for traj in runs:
+            for column in (traj.x.imag, traj.p.imag):
+                assert not np.any(column) and not np.any(np.signbit(column))
     def test_trajectory_export_work_count(self, monkeypatch):
         # the benchmark's trajectory_export pass: four samplings near
-        # g = 0.143 and their round trips took 3,469 Taylor steps and
-        # 20,004 samples before the recurrence was tabulated; a speed-up
-        # must not come from fewer, coarser steps
+        # g = 0.143 and their round trips.  The 20,004 samples take no
+        # Taylor step: 567 closed-form evaluations, one anchor every 64
+        # samples (32 + 63 + 94 + 126) and each run's 63 offsets (4 x 63),
+        # none of them a fallback of the addition theorem, on two closed
+        # forms a run.  The four round trips take 966 steps (with the
+        # samples' 2,503 the pass took 3,469 when the march sampled).
         steps = count_steps(monkeypatch)
+        calls = {"_orbit": 0, "evaluations": 0}
+        orbit = cubic._orbit
+
+        def counted_orbit(*args):
+            calls["_orbit"] += 1
+            return call_counter(calls, "evaluations", orbit(*args))
+
+        monkeypatch.setattr(trajectory, "_orbit", counted_orbit)
         samples = 0
         for g, t_max in zip((0.1425, 0.1429, 0.1433, 0.1437), (100.0, 200.0, 300.0, 400.0)):
             model, energy, x1 = default_start(g)
             samples += len(integrate(model, energy, x1, 0j, IntegratorConfig(t_max=t_max)))
             reversibility_error(model, energy, x1, 0j, 50.0)
         assert samples == 20004
-        assert steps[0] <= 3469
+        assert calls == {"_orbit": 8, "evaluations": 567}
+        assert steps[0] == 966
 
 
 def steps_until_failure(steps, args):
@@ -1110,6 +1178,30 @@ class TestStepper:
         assert new == old
         assert new[1].startswith("|H - E| reached")
 
+    @pytest.mark.parametrize("rel_tol, drift", [(1e-10, "1.202e-06"), (1e-13, "1.818e-06")])
+    def test_blowup_from_x3_trips_the_drift_guard_first(self, rel_tol, drift):
+        # the real orbit from rest at x3 runs off to +infinity in finite
+        # time; the drift guard stops the march before the step size
+        # underflows
+        model = CubicModel(0.1)
+        x3 = turning_points(model, 1.0 + 0j).x3
+        with pytest.raises(EnergyDriftExceeded,
+                           match=rf"^\|H - E\| reached {drift} \(limit 1\.000e-06\)$"):
+            for _ in march_steps(model, 1.0 + 0j, x3, 0j, 10.0, IntegratorConfig(rel_tol=rel_tol)):
+                pass
+
+    def test_blowup_from_x3_underflows_without_the_drift_guard(self, monkeypatch):
+        # with no drift limit the same march goes on to the pole, where the
+        # step (1.9e-17 at |x| ~ 1.9e32) no longer advances time
+        monkeypatch.setattr(trajectory, "DRIFT_FAILURE_LIMIT", math.inf)
+        steps = count_steps(monkeypatch)
+        model = CubicModel(0.1)
+        x3 = turning_points(model, 1.0 + 0j).x3
+        with pytest.raises(StepSizeUnderflow, match=r"at t = 3\.48885\d* no longer advances time$"):
+            for _ in march_steps(model, 1.0 + 0j, x3, 0j, 10.0, IntegratorConfig()):
+                pass
+        assert steps[0] == 109
+
 
 class TestCrossingTime:
     def test_no_crossing_for_bound_real_energy(self):
@@ -1192,7 +1284,7 @@ class TestCrossingTime:
         crossing(300.0)
         for run, short, long in ((crossing, 300.0, 3000.0), (round_trip, 50.0, 500.0)):
             assert peak_traced_bytes(run, long) <= peak_traced_bytes(run, short) + 16 * 1024
-        assert crossings[300.0].endswith("within t_max = 300")
+        assert crossings[300.0].endswith("within t_max = 300.0")
         assert crossings[3000.0] == pytest.approx(1386.5660981656326, rel=1e-9)
 
     def test_converged_under_tolerance_refinement(self):
@@ -1476,7 +1568,7 @@ class TestLatticeReduction:
         calls = {"_reach_on_row": 0}
         monkeypatch.setattr(trajectory, "_reach_on_row",
                             call_counter(calls, "_reach_on_row", trajectory._reach_on_row))
-        with pytest.raises(NoCrossing, match=r"within t_max = 1$"):
+        with pytest.raises(NoCrossing, match=r"within t_max = 1\.0$"):
             crossing_time(model, energy, x1, 0j, IntegratorConfig(t_max=1.0))
         assert calls == {"_reach_on_row": 1}
 
@@ -1678,7 +1770,7 @@ class TestLatticeReduction:
         (0.1, 0.3 + 0j, 1e-3j, 1e15, False, 0,
          ": the period T = 6.43835 is real, so the orbit repeats its first period"),
         (0.16099, None, 0j, 1e300, True, 1, " on the 45 rows below the first line of poles"),
-        (0.1, None, 0j, 2e5, False, 1, " within t_max = 200000"),
+        (0.1, None, 0j, 2e5, False, 1, " within t_max = 200000.0"),
         (0.16099, None, 0j, 321.549, True, 1, " within t_max = 321.549"),
     ], ids=["real start", "real period", "poles", "horizon", "poles at the horizon"])
     def test_no_crossing_names_its_cause(self, monkeypatch, g, energy, offset, t_max,
@@ -1704,7 +1796,7 @@ class TestLatticeReduction:
         p0 = initial_momentum(model, energy, x0) if offset else 0j
         with pytest.raises(NoCrossing) as info:
             crossing_time(model, energy, x0, p0, IntegratorConfig(t_max=t_max))
-        assert str(info.value) == f"Re x never reached Re x3 = {tps.x3.real:.6g}{cause}"
+        assert str(info.value) == f"Re x never reached Re x3 = {tps.x3.real!r}{cause}"
         assert calls["_row_bracket"] == brackets
 
     def test_no_crossing_before_the_default_horizon(self, monkeypatch):
@@ -1999,6 +2091,129 @@ class TestJacobiOracle:
         tight = IntegratorConfig(rel_tol=1e-13)
         assert crossing_time(model, energy, x0, p0, tight) == pytest.approx(exact, rel=1e-12)
         assert crossing_time(model, energy, x0, p0) == pytest.approx(exact, rel=1e-9)
+
+
+class TestAddition:
+    """``cubic._addition`` on exact states, and the samples of
+    ``integrate`` it gives, against JacobiOrbit."""
+
+    # the lattices of test_orbit_on_reduced_lattices and two of table1's
+    # (g = 0.14311 reduced by the swap T <-> T', 0.12522 not)
+    LATTICES = [
+        (0.12522, None), (0.14311, None),
+        *((SEPARATRIX_G, e) for e in SEPARATRIX_ENERGIES[::3]),
+        (0.1, 2.5 + 0j), (0.2, 0.3 + 0.1j), (0.2, 2.0 + 0j), (0.1, -1.0 + 0j), (0.1, 3.25 + 0j),
+    ]
+    CELL = [(0.1, 0.2), (0.37, -0.3), (0.8, 0.4), (-0.6, 0.7), (2.3, -1.2), (0.25, 0.25)]
+
+    @staticmethod
+    def lattice(g, energy):
+        """The model, turning points, periods, JacobiOrbit, its pole
+        iK'/lam (the orbit with its pole at 0 is its state at t_p + v)
+        and the package's closed form with ``add`` on it."""
+        model = CubicModel(g)
+        energy = energy or corrected_quasi_bound_energy(g).energy
+        tps = turning_points(model, energy)
+        periods = _periods(model, tps)
+        orbit = jacobi_orbit(g, energy)
+        t_p = complex(orbit.cell[1] / (2 * orbit.lam))
+        at = _orbit(model, periods, _pole_time(model, tps, tps.x1, 0j))
+        return model, tps, periods, orbit, t_p, at
+
+    @pytest.mark.parametrize("g, energy", LATTICES)
+    def test_exact_states_across_the_cell(self, g, energy):
+        # u at six points across the cell and v at three of them scaled by
+        # 0.37, both off the real axis, from 40-digit states: relative to
+        # max(|x|, |p|, 1) the sum agrees to 2.2e-14, and to 1.5e-12 and
+        # 4.0e-12 at the separatrix energies, where |P_u - P_v| falls to
+        # 2.0e-3 and 2.6e-4 of max(|P_u|, |P_v|, 1): the quotient loses
+        # digits to the difference, and below 1e-3 the fallback takes the
+        # closed form, whose own error there is a few 1e-12
+        model, tps, (T, T_prime), orbit, t_p, at = self.lattice(g, energy)
+        add = cubic._addition(model, tps, at)
+        us = [a * T + b * T_prime for a, b in self.CELL]
+        vs = [0.37 * (a * T + b * T_prime) for a, b in self.CELL[::2]]
+        x_u, p_u = np.array([orbit.state(u) for u in us]).T
+        x_v, p_v = np.array([orbit.state(t_p + v) for v in vs]).T
+        z = np.add.outer(us, vs)
+        x, p = add(x_u[:, None], p_u[:, None], x_v, p_v, z)
+        exact = np.array([[orbit.state(w) for w in row] for row in z.tolist()])
+        scale = np.maximum(np.maximum(abs(exact[..., 0]), abs(exact[..., 1])), 1.0)
+        error = np.maximum(abs(x - exact[..., 0]), abs(p - exact[..., 1])) / scale
+        assert error.max() <= (1e-11 if g == SEPARATRIX_G else 1e-13)
+
+    def test_fallback_where_the_values_meet(self, monkeypatch):
+        # u = v, where the quotient is 0/0, and u = -v + 1e-3, next to the
+        # pole of the sum, take the closed form at z itself, to the bit;
+        # the third pair takes the addition.  At u = v that agrees with the
+        # exact state to 4.7e-15; next to the pole it agrees to 1e-11 of
+        # |x| ~ 1e7, where the closed form's pole time sets the error
+        model, tps, (T, T_prime), orbit, t_p, at = self.lattice(0.14311, None)
+        calls = []
+        add = cubic._addition(model, tps, lambda z: calls.append(z) or at(z))
+        v = 0.37 * T + 0.2 * T_prime
+        us = [t_p + v, t_p - v + 1e-3, 0.8 * T + 0.4 * T_prime]
+        x_u, p_u = np.array([orbit.state(u) for u in us]).T
+        x_v, p_v = (np.array([value]) for value in orbit.state(t_p + v))
+        z = np.array(us) + v
+        with np.errstate(divide="ignore", invalid="ignore"):  # the 0/0 the fallback replaces
+            x, p = add(x_u, p_u, x_v, p_v, z)
+        assert calls == z[:2].tolist()
+        for i in (0, 1):
+            assert repr((complex(x[i]), complex(p[i]))) == repr(at(z[i]))
+        for i, bound in ((0, 1e-14), (1, 1e-11), (2, 1e-14)):
+            exact = orbit.state(z[i])
+            scale = max(abs(exact[0]), abs(exact[1]), 1.0)
+            assert max(abs(x[i] - exact[0]), abs(p[i] - exact[1])) <= bound * scale
+
+    # the trajectory_export couplings at horizons of its range, the
+    # criterion 4 run, and intervals from 1e-4 (a step a sample) to 7.3
+    # (every sample in the first block of 64), the last with t_max off the
+    # grid; the worst of 41 samples is 2.7e-14 to 7.3e-14, the closed
+    # form's own error at those times
+    SAMPLED_RUNS = [
+        (0.1425, 100.0, 0.05), (0.1431, 400.0, 0.05), (0.1437, 200.0, 0.05),
+        (2.0 / math.sqrt(125.0), 58.0, 0.05),
+        (0.1433, 3.0, 1e-4), (0.1433, 30.0, 0.0123), (0.1433, 400.0, 7.3),
+        (0.1433, 123.456, 0.07),
+    ]
+
+    @staticmethod
+    @functools.cache
+    def sampled_error(g, t_max, interval):
+        """``worst_sample_error`` of the run from rest at x1 at the
+        corrected energy of g."""
+        model, energy, x1 = default_start(g)
+        traj = integrate(model, energy, x1, 0j,
+                         IntegratorConfig(t_max=t_max, sample_interval=interval))
+        return worst_sample_error(traj, g, energy)
+
+    @pytest.mark.parametrize("g, t_max, interval", SAMPLED_RUNS)
+    def test_samples(self, g, t_max, interval):
+        assert self.sampled_error(g, t_max, interval) <= 1e-13
+
+    def test_samples_near_the_separatrix(self):
+        # 1e-9 - 1e-12i below the barrier top the closed form itself is
+        # off by 5.7e-11 (the sum changes none of it); the march that
+        # sampled before was off by 3.2e-3 here
+        energy = SEPARATRIX_ENERGIES[3]
+        model = CubicModel(SEPARATRIX_G)
+        x1 = turning_points(model, energy).x1
+        traj = integrate(model, energy, x1, 0j, IntegratorConfig(t_max=200.0))
+        assert worst_sample_error(traj, SEPARATRIX_G, energy) <= 1e-10
+
+    @pytest.mark.parametrize("form, run, lost", [
+        ("P'", SAMPLED_RUNS[4], 1e-12), ("P", SAMPLED_RUNS[0], 1e-12)])
+    def test_the_chord_forms_fail_the_sample_bound(self, monkeypatch, form, run, lost):
+        # the chord for P' loses 2.0e-12 at interval 1e-4, next to the
+        # offsets' pole, and the chord for P 1.5e-12 at the default
+        # interval, where the package keeps 3.6e-15 and 4.6e-14
+        g, t_max, interval = run
+        monkeypatch.setattr(trajectory, "_addition", chord_addition(form))
+        model, energy, x1 = default_start(g)
+        traj = integrate(model, energy, x1, 0j,
+                         IntegratorConfig(t_max=t_max, sample_interval=interval))
+        assert self.sampled_error(*run) <= 1e-13 < lost <= worst_sample_error(traj, g, energy)
 
 
 class TestReversibility:
