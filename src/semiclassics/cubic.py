@@ -28,9 +28,9 @@ sampled trajectories read two more: the addition theorem, which moves a
 state of the closed form by the state of an offset (``_addition``), and
 the first pole on the real time axis (``_real_pole``).
 
-Positions and energies are plain Python complex numbers (the addition
-theorem also takes the caller's numpy arrays); all functions here are
-pure and safe to call concurrently.
+Positions and energies are plain Python complex numbers (the closed
+form and the addition theorem also take the caller's numpy arrays); all
+functions here are pure and safe to call concurrently.
 """
 
 import cmath
@@ -526,6 +526,12 @@ def _orbit(model: CubicModel, periods: tuple[complex, complex], t0: complex):
     terms depend on the lattice only, so they are formed here, once;
     ``at`` still subtracts each constant from its own term, in the order
     of the sum.
+
+    ``at(z, sin, cos, nearest)`` touches z only through arithmetic and
+    its three elementwise functions, so z may also be a numpy array of
+    times, with the caller's ``np.sin``, ``np.cos`` and ``np.rint`` (this
+    module imports no numpy); the defaults, ``cmath.sin``, ``cmath.cos``
+    and ``round``, evaluate one complex time.
     """
     T, T_prime = periods
     while abs(T_prime := T_prime - round((T_prime / T).real) * T) < abs(T):
@@ -535,14 +541,14 @@ def _orbit(model: CubicModel, periods: tuple[complex, complex], t0: complex):
     terms = [(n * T_prime, 1.0 / cmath.sin(c * n * T_prime) ** 2 if n else 0.0)
              for n in range(-last, last + 1)]
 
-    def at(z):
-        w = z - t0 - round(_lattice_b((T, T_prime), z - t0)) * T_prime
+    def at(z, sin=cmath.sin, cos=cmath.cos, nearest=round):
+        w = z - t0 - nearest(_lattice_b((T, T_prime), z - t0)) * T_prime
         wp, dwp = -1.0 / 3.0, 0j
         for shift, constant in terms:
-            s = cmath.sin(a := c * (w + shift))
+            s = sin(a := c * (w + shift))
             csc2 = 1.0 / (s * s)
             wp += csc2 - constant
-            dwp += cmath.cos(a) / s * csc2
+            dwp += cos(a) / s * csc2
         return 2.0 * c * c * wp / model.g + 1.0 / (6.0 * model.g), -4.0 * c**3 * dwp / model.g
 
     return at
@@ -601,32 +607,78 @@ def _real_pole(periods: tuple[complex, complex], t0: complex, t_max: float) -> f
     """The first real time in [0, t_max] at which the orbit with a pole at
     t0 has one, or None.
 
-    The poles are t0 + m T + n T', and one lies on the real axis when
-    its imaginary part is at most tol = _POLE_TOL (|T| + |T'|).  On line
-    n, the poles t0 + n T' + m T, that holds for the whole m in an
-    interval [lo, hi] (every m, or none, when Im T == 0.0 exactly, as for
-    every real energy below the barrier top or below 0), and Re T > 0
-    (see ``_periods``) makes the first of them in real time the smallest
-    m at or past both lo and -Re(t0 + n T') / Re T.  Only the lines whose
-    b coordinate (``_lattice_b``) lies between those of real times 0 and
-    t_max, and one more on each side, come within tol of [0, t_max].
+    The poles are t0 + m T + n T', and one lies on the real axis when its
+    imaginary part is at most tol = _POLE_TOL (|T| + |T'|): in the strip S
+    of real parts [0, t_max] and imaginary parts [-tol, tol].  The walk
+    follows the lines of poles parallel to a lattice vector L = a T + b T'
+    that is nearly real at the scale of the horizon: with h = max(t_max,
+    |T| + |T'|) and A = |Im(T' conj(T))| the cell's area, L is the
+    shortest vector under the scaling (Re z, Im z) -> (A Re z / h, h Im z)
+    (Lagrange-Gauss reduction), whose lattice has area A**2, so h |Im L|
+    <= 1.075 A.  With M = c T + d T' completing the basis, the line k
+    holds the poles t0 + j L + k M, and only the lines whose k lies
+    between those of S's corners meet S: at most four at any horizon,
+    where the lines parallel to T number t_max |Im T| / A (3e4 at 2e5
+    above the barrier top, where L = 2 T - T' is real).  The first pole
+    in S on a line (``_first_on_line``) is m = j a + k c, n = j b + k d,
+    at the time Re(t0 + n T' + m T).
     """
     T, T_prime = periods
     tol = _POLE_TOL * (abs(T) + abs(T_prime))
-    ends = (_lattice_b(periods, -t0), _lattice_b(periods, t_max - t0))
+    area = abs((T_prime * T.conjugate()).imag)
+    h = max(t_max, abs(T) + abs(T_prime))
+
+    def scaled(a, b):
+        z = a * T + b * T_prime
+        return complex(area / h * z.real, h * z.imag)
+
+    (a, b), (c, d) = sorted(((1, 0), (0, 1)), key=lambda ab: abs(scaled(*ab)))
+    while True:  # |scaled(a, b)| falls strictly with every swap
+        q = round((scaled(c, d) / scaled(a, b)).real)
+        c, d = c - q * a, d - q * b
+        if not abs(scaled(c, d)) < abs(scaled(a, b)):
+            break
+        (a, b), (c, d) = (c, d), (a, b)
+    if (L := a * T + b * T_prime).real < 0.0:
+        a, b, L = -a, -b, -L
+    M = c * T + d * T_prime
+
+    def line(z):
+        # k from z's coordinates on (T, T'): L and M may be long and nearly
+        # parallel, and Im(M conj(L)) = +-A would lose digits to cancellation
+        return (a * _lattice_b(periods, z) - b * _lattice_b((T_prime, T), z)) / (a * d - b * c)
+
+    ends = [line(complex(t, y) - t0) for t in (0.0, t_max) for y in (-tol, tol)]
     first = None
-    for n in range(math.floor(min(ends)) - 1, math.ceil(max(ends)) + 2):
-        base = t0 + n * T_prime
-        if T.imag:
-            lo, hi = sorted(((-tol - base.imag) / T.imag, (tol - base.imag) / T.imag))
-        elif abs(base.imag) <= tol:
-            lo, hi = -math.inf, math.inf
-        else:
-            continue
-        m = max(lo, -base.real / T.real)
-        if m <= (t_max - base.real) / T.real:  # finite, so m is too
-            m = math.ceil(m)
-            t = (base + m * T).real
-            if m <= hi and t <= t_max and (first is None or t < first):
+    for k in range(math.floor(min(ends)), math.ceil(max(ends)) + 1):
+        # line k from its pole j0 L + k M nearest real time 0, formed from
+        # its m and n like any pole
+        j0 = round(-(t0 + k * M).real / L.real) if L.real else 0
+        m0, n0 = j0 * a + k * c, j0 * b + k * d
+        j = _first_on_line(t0 + n0 * T_prime + m0 * T, L, tol, t_max)
+        if j is not None:
+            m, n = m0 + j * a, n0 + j * b
+            t = (t0 + n * T_prime + m * T).real
+            if t <= t_max and (first is None or t < first):
                 first = max(t, 0.0)  # a pole at the start may round below it
     return first
+
+
+def _first_on_line(base: complex, L: complex, tol: float, t_max: float) -> int | None:
+    """The smallest whole j, or None, for which base + j L, with Re L >= 0,
+    lies within tol of the real axis with a real part in [0, t_max].
+
+    Each condition holds for the j in an interval: every j, or none, when
+    its part of L is 0.0 exactly (Im L for every real energy below the
+    barrier top or below 0, whose L is T).
+    """
+    lo, hi = -math.inf, math.inf
+    for low, high, start, step in ((-tol, tol, base.imag, L.imag), (0.0, t_max, base.real, L.real)):
+        if step:
+            ends = sorted(((low - start) / step, (high - start) / step))
+            lo, hi = max(lo, ends[0]), min(hi, ends[1])
+        elif not low <= start <= high:
+            return None
+    if lo <= hi and (j := math.ceil(lo)) <= hi:
+        return j
+    return None

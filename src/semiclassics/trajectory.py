@@ -563,9 +563,11 @@ def _closed_form(model, energy, x0, p0, cfg, times, x, p):
     (dt the sample interval) by the addition theorem (``cubic._addition``):
     at k M dt + m dt, which is i dt but for the rounding of the sum.
     The offsets' states come once, from the orbit on the same lattice
-    with its pole at 0, and each block of _BLOCK samples is one
-    vectorized addition.  The grid's last sample, when it is clipped to
-    t_max, and the endpoint t_max after the grid are evaluated directly.
+    with its pole at 0, and the anchors _BLOCK at a time, each in one
+    call of ``at`` on a numpy array of times; each block of _BLOCK
+    samples is one vectorized addition.  The grid's last sample, when it
+    is clipped to t_max, and the endpoint t_max after the grid are
+    evaluated directly.
     """
     import numpy as np
 
@@ -579,14 +581,17 @@ def _closed_form(model, energy, x0, p0, cfg, times, x, p):
     at = _orbit(model, periods, t0)
     add = _addition(model, tps, at)
     dt = cfg.sample_interval
-    width = min(_ANCHOR_SPACING, times.size) - 1
-    offsets = dt * np.arange(1, width + 1)
-    at_offset = _orbit(model, periods, 0j)
-    x_v, p_v = np.array([at_offset(v) for v in offsets.tolist()], complex).reshape(width, 2).T
+    elementwise = np.sin, np.cos, np.rint
+    offsets = dt * np.arange(1, min(_ANCHOR_SPACING, times.size))
+    x_v, p_v = _orbit(model, periods, 0j)(offsets, *elementwise)
+    chunk = _BLOCK * _ANCHOR_SPACING
     for lo in range(0, times.size, _BLOCK):
         hi = min(lo + _BLOCK, times.size)
+        if lo % chunk == 0:
+            x_a, p_a = at(times[lo:lo + chunk:_ANCHOR_SPACING], *elementwise)
         starts = times[lo:hi:_ANCHOR_SPACING]
-        x_u, p_u = np.array([at(t) for t in starts.tolist()]).T
+        k = lo % chunk // _ANCHOR_SPACING
+        x_u, p_u = x_a[k:k + starts.size], p_a[k:k + starts.size]
         xs, ps = add(x_u[:, None], p_u[:, None], x_v, p_v, starts[:, None] + offsets)
         x[lo:hi] = np.column_stack([x_u, xs]).ravel()[:hi - lo]
         p[lo:hi] = np.column_stack([p_u, ps]).ravel()[:hi - lo]
